@@ -75,9 +75,7 @@ from .qsim import (
     basis_state,
     distribution,
     equal_up_to_global_phase,
-    format_state_dump,
     measure,
-    measure_predicate,
     normalized,
     permute_basis,
     project,

@@ -2,14 +2,17 @@
 
 Each solver is Las-Vegas: candidates recovered from the final measurement are
 verified against classical oracle probes and wrong ones are retried, so a
-returned shift is always correct and only the attempt count is random.  The
-module also provides exact, sampling-free verifiers for the transform
-identity behind the composite-modulus solver and for the relation between
-Fourier-sampling a short register and its repetition on a larger one.
+returned shift is always correct and only the attempt count is random.  All
+four share one attempt loop, which logs every failed attempt at DEBUG level
+to the charshift.algorithms logger.  The module also provides exact,
+sampling-free verifiers for the transform identity behind the
+composite-modulus solver and for the relation between Fourier-sampling a
+short register and its repetition on a larger one.
 """
 
+import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -61,8 +64,13 @@ from .qsim import (
     trace_fourier_transform,
 )
 
+log = logging.getLogger(__name__)
+
 MAX_ATTEMPTS = 64
 PERIOD_PROBES = 20
+
+# Largest register a solve or analysis may allocate; see prepare_character_state.
+MAX_REGISTER_DIM = 1 << 20
 
 # Exact distributions and transcripts are only recorded up to this dimension.
 _ANALYSIS_DIM_LIMIT = 4096
@@ -110,7 +118,7 @@ class DistributionComparison:
 # shared state preparation
 
 
-def prepare_character_state(oracle: ShiftOracle, dim: int, rng):
+def prepare_character_state(oracle: ShiftOracle, dim: int, rng=None):
     """One preparation attempt for the phase state c * sum f(x)|x>.
 
     Builds the uniform superposition, evaluates the oracle coherently, and
@@ -122,27 +130,26 @@ def prepare_character_state(oracle: ShiftOracle, dim: int, rng):
       coherent query, and the register discarded.  Slots beyond the oracle
       domain are dummy positions that keep amplitude with phase +1.
     - rejected: state is the collapsed zero-value branch, register attached.
+
+    With rng=None nothing is sampled and the accepted branch is taken by
+    projection, as the exact per-attempt analyses need.
+
+    Every solve and analysis allocates its registers here.  The value query
+    holds 3*dim complex128 amplitudes, 48 MiB per vector at dim = 2^20, and
+    several such vectors are alive at once; a dim above MAX_REGISTER_DIM
+    raises DomainTooLarge before any allocation or query.
     """
+    if dim > MAX_REGISTER_DIM:
+        raise DomainTooLarge(f"register of dimension {dim} exceeds {MAX_REGISTER_DIM}")
     state = qft(basis_state(dim, 0))
     state = oracle.value_query_superposed(state)
     zero_prob, zero_state = project(state, result_is_zero)
-    if rng.random() < zero_prob:
+    if rng is not None and rng.random() < zero_prob:
         return False, zero_state, zero_prob
     _, state = project(state, lambda x: not result_is_zero(x))
     state = result_sign_phase(state)
     state = oracle.value_query_superposed(state, entangled=True)
     return True, discard_result_register(state), zero_prob
-
-
-def _prepare_exact(oracle: ShiftOracle, dim: int):
-    """Deterministic variant: always take the accepted branch by projection."""
-    state = qft(basis_state(dim, 0))
-    state = oracle.value_query_superposed(state)
-    zero_prob, _ = project(state, result_is_zero)
-    _, state = project(state, lambda x: not result_is_zero(x))
-    state = result_sign_phase(state)
-    state = oracle.value_query_superposed(state, entangled=True)
-    return zero_prob, discard_result_register(state)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +186,7 @@ def _sjsp_stage(state: StateVector, moduli: FactoredOddSquarefree, transcript=No
     state = apply_phase(state, unshifted_symbol)
     for axis in range(len(moduli.factors)):
         state = qft_factor(state, layout, axis, inverse=True)
-    return state, layout
+    return state
 
 
 @lru_cache(maxsize=None)
@@ -239,6 +246,65 @@ def _verify_jacobi(oracle: ShiftOracle, n: int, cand: int) -> bool:
 # solvers
 
 
+def _las_vegas(oracle, dim, rng, stage, decode, decode_zero, verify, keep_transcript):
+    """The attempt loop shared by every solver.
+
+    An attempt prepares the character state on a dim-slot register.  On the
+    accepted branch stage(state, transcript) gives the final state, and its
+    measured outcome goes through decode unless it is a dummy slot beyond the
+    oracle domain.  On the zero branch the measured domain point goes through
+    decode_zero, or the attempt is retried when decode_zero is None.  A
+    decoder returns None to reject.  The first candidate that verify accepts
+    is returned.  Draws from rng come in the order preparation, measurement,
+    verification.  Each failed attempt is logged at DEBUG level.
+    """
+    q0, c0 = oracle.phase_query_count, oracle.query_count
+    for attempt in range(1, MAX_ATTEMPTS + 1):
+        transcript = [] if keep_transcript and dim <= _ANALYSIS_DIM_LIMIT else None
+        accepted, state, zero_prob = prepare_character_state(oracle, dim, rng)
+        final = cand = None
+        if accepted:
+            if transcript is not None:
+                transcript.append(("prepared", state))
+            final = stage(state, transcript)
+            if transcript is not None:
+                transcript.append(("final", final))
+            index, _ = measure(final, rng)
+            if index >= oracle.domain_size:  # rounding noise on an emptied dummy slot
+                reason = "dummy slot"
+            else:
+                cand, reason = decode(index), "decode rejected"
+        elif decode_zero is None:
+            reason = "not decoded"
+        else:
+            index, _ = measure(state, rng)
+            cand, reason = decode_zero(index // RESULT_DIM), "decode rejected"
+        if cand is not None:
+            if verify(cand):
+                dist = prob = None
+                if final is not None and dim <= _ANALYSIS_DIM_LIMIT:
+                    # decoders are one-to-one, so a verified candidate's
+                    # outcome is the correct one
+                    dist = distribution(final)
+                    prob = float(dist[index])
+                return SolveReport(
+                    variant=oracle.variant,
+                    recovered_shift=cand,
+                    recovered_modulus=None,
+                    attempts=attempt,
+                    coherent_queries=oracle.phase_query_count - q0,
+                    classical_queries=oracle.query_count - c0,
+                    zero_branch_probability=zero_prob,
+                    exact_success_probability=prob,
+                    exact_distribution=dist,
+                    transcript=transcript,
+                )
+            reason = "verify failed"
+        log.debug("attempt %d on a %d-slot register, %s branch: %s", attempt, dim,
+                  "accepted" if accepted else "zero", reason)
+    raise RetriesExhausted(f"no verified candidate in {MAX_ATTEMPTS} attempts")
+
+
 def solve_slsp(p: int, oracle: ShiftOracle, rng, keep_transcript: bool = False) -> SolveReport:
     """Recover the shift of a Legendre-symbol oracle over Z_p.
 
@@ -249,40 +315,18 @@ def solve_slsp(p: int, oracle: ShiftOracle, rng, keep_transcript: bool = False) 
     """
     if oracle.variant != VARIANT_LEGENDRE or oracle.domain_size != p:
         raise ValueError("oracle does not match the requested prime")
-    q0, c0 = oracle.phase_query_count, oracle.query_count
-    for attempt in range(1, MAX_ATTEMPTS + 1):
-        transcript = [] if keep_transcript and p <= _ANALYSIS_DIM_LIMIT else None
-        accepted, state, zero_prob = prepare_character_state(oracle, p, rng)
-        final = None
-        if accepted:
-            if transcript is not None:
-                transcript.append(("prepared", state))
-            final = _legendre_stage(state, p, transcript)
-            if transcript is not None:
-                transcript.append(("final", final))
-            index, _ = measure(final, rng)
-            cand = (-index) % p
-        else:
-            index, _ = measure(state, rng)
-            cand = (-(index // RESULT_DIM)) % p
-        if _verify_legendre(oracle, p, cand, rng):
-            dist = prob = None
-            if final is not None and p <= _ANALYSIS_DIM_LIMIT:
-                dist = distribution(final)
-                prob = float(dist[(-cand) % p])
-            return SolveReport(
-                variant=VARIANT_LEGENDRE,
-                recovered_shift=cand,
-                recovered_modulus=None,
-                attempts=attempt,
-                coherent_queries=oracle.phase_query_count - q0,
-                classical_queries=oracle.query_count - c0,
-                zero_branch_probability=zero_prob,
-                exact_success_probability=prob,
-                exact_distribution=dist,
-                transcript=transcript,
-            )
-    raise RetriesExhausted(f"no verified shift in {MAX_ATTEMPTS} attempts")
+
+    def negate(x):
+        return (-x) % p
+
+    return _las_vegas(
+        oracle, p, rng,
+        stage=lambda state, transcript: _legendre_stage(state, p, transcript),
+        decode=negate,
+        decode_zero=negate,
+        verify=lambda cand: _verify_legendre(oracle, p, cand, rng),
+        keep_transcript=keep_transcript,
+    )
 
 
 def solve_sjsp(
@@ -301,41 +345,20 @@ def solve_sjsp(
         raise ValueError("oracle is not a Jacobi-symbol instance")
     if oracle.domain_size < n:
         raise ValueError("oracle domain smaller than the modulus")
-    q0, c0 = oracle.phase_query_count, oracle.query_count
-    for attempt in range(1, MAX_ATTEMPTS + 1):
-        transcript = [] if keep_transcript and n <= _ANALYSIS_DIM_LIMIT else None
-        accepted, state, zero_prob = prepare_character_state(oracle, n, rng)
-        if not accepted:
-            continue
-        if transcript is not None:
-            transcript.append(("prepared", state))
-        final, layout = _sjsp_stage(state, moduli, transcript)
-        if transcript is not None:
-            transcript.append(("final", final))
-        index, _ = measure(final, rng)
-        cand = crt_compose(
-            tuple((-c) % pj for c, pj in zip(layout.coords(index), moduli.factors)),
-            moduli,
-        )
-        if _verify_jacobi(oracle, n, cand):
-            dist = prob = None
-            if n <= _ANALYSIS_DIM_LIMIT:
-                dist = distribution(final)
-                correct = layout.index(tuple((-cand) % pj for pj in moduli.factors))
-                prob = float(dist[correct])
-            return SolveReport(
-                variant=oracle.variant,
-                recovered_shift=cand,
-                recovered_modulus=None,
-                attempts=attempt,
-                coherent_queries=oracle.phase_query_count - q0,
-                classical_queries=oracle.query_count - c0,
-                zero_branch_probability=zero_prob,
-                exact_success_probability=prob,
-                exact_distribution=dist,
-                transcript=transcript,
-            )
-    raise RetriesExhausted(f"no verified shift in {MAX_ATTEMPTS} attempts")
+    layout = RegisterLayout(moduli.factors)
+
+    def decode(index):
+        coords = layout.coords(index)
+        return crt_compose(tuple((-c) % pj for c, pj in zip(coords, moduli.factors)), moduli)
+
+    return _las_vegas(
+        oracle, n, rng,
+        stage=lambda state, transcript: _sjsp_stage(state, moduli, transcript),
+        decode=decode,
+        decode_zero=None,
+        verify=lambda cand: _verify_jacobi(oracle, n, cand),
+        keep_transcript=keep_transcript,
+    )
 
 
 def best_convergent_fraction(i: int, big_m: int, max_den: int | None = None) -> Fraction:
@@ -378,41 +401,46 @@ def solve_sjsp_unknown_n(big_m: int, oracle: ShiftOracle, rng) -> SolveReport:
         raise ValueError("oracle does not match the requested domain size")
     if math.isqrt(big_m) < 3:
         raise NoValidConvergent(f"no odd modulus >= 3 fits below sqrt({big_m})")
-    q0, c0 = oracle.phase_query_count, oracle.query_count
-    candidates = []
-    zero_prob = None
-    for attempt in range(1, MAX_ATTEMPTS + 1):
-        accepted, state, zero_prob = prepare_character_state(oracle, big_m, rng)
-        if not accepted:
-            continue
-        index, _ = measure(qft(state), rng)
+    candidates, solved = [], []
+
+    def decode(index):
         den = best_convergent_denominator(index, big_m)
         candidates.append(den)
         if den < 3 or den * den >= big_m:
-            continue
+            return None
         try:
-            moduli = factor_trial(den)
+            return factor_trial(den)
         except (EvenInput, NotSquareFree):
-            continue
-        if not _period_holds(oracle, den, rng):
-            continue
+            return None
+
+    def verify(moduli):
+        if not _period_holds(oracle, moduli.n, rng):
+            return False
         try:
-            sub = solve_sjsp(moduli, oracle, rng)
+            solved.append(solve_sjsp(moduli, oracle, rng))
         except RetriesExhausted:
-            continue
-        return SolveReport(
-            variant=VARIANT_JACOBI_UNKNOWN,
-            recovered_shift=sub.recovered_shift,
-            recovered_modulus=den,
-            attempts=attempt,
-            coherent_queries=oracle.phase_query_count - q0,
-            classical_queries=oracle.query_count - c0,
-            zero_branch_probability=zero_prob,
-            exact_success_probability=sub.exact_success_probability,
-            exact_distribution=sub.exact_distribution,
-            candidate_moduli=candidates,
-        )
-    raise RetriesExhausted(f"no verified modulus in {MAX_ATTEMPTS} attempts")
+            return False
+        return True
+
+    report = _las_vegas(
+        oracle, big_m, rng,
+        stage=lambda state, transcript: qft(state),
+        decode=decode,
+        decode_zero=None,
+        verify=verify,
+        keep_transcript=False,
+    )
+    # The loop's candidate is the factored modulus; the shift, and the exact
+    # figures, come from the known-modulus sub-solve that verified it.
+    sub = solved[-1]
+    return replace(
+        report,
+        recovered_shift=sub.recovered_shift,
+        recovered_modulus=report.recovered_shift.n,
+        exact_success_probability=sub.exact_success_probability,
+        exact_distribution=sub.exact_distribution,
+        candidate_moduli=candidates,
+    )
 
 
 def solve_sqcp(
@@ -428,43 +456,18 @@ def solve_sqcp(
     """
     if oracle.variant != VARIANT_FIELD or oracle.domain_size != fld.q:
         raise ValueError("oracle does not match the requested field")
-    q0, c0 = oracle.phase_query_count, oracle.query_count
-    dim = fld.q + 1
-    for attempt in range(1, MAX_ATTEMPTS + 1):
-        transcript = [] if keep_transcript and dim <= _ANALYSIS_DIM_LIMIT else None
-        accepted, state, zero_prob = prepare_character_state(oracle, dim, rng)
-        final = None
-        if accepted:
-            if transcript is not None:
-                transcript.append(("prepared", state))
-            final = _sqcp_stage(state, fld, transcript)
-            if transcript is not None:
-                transcript.append(("final", final))
-            index, _ = measure(final, rng)
-            if index >= fld.q:  # rounding noise on the emptied dummy slot
-                continue
-            cand = ff.ff_neg(fld, ff.element_from_index(fld, index))
-        else:
-            index, _ = measure(state, rng)
-            cand = ff.ff_neg(fld, ff.element_from_index(fld, index // RESULT_DIM))
-        if _verify_field(oracle, fld, cand, rng):
-            dist = prob = None
-            if final is not None and dim <= _ANALYSIS_DIM_LIMIT:
-                dist = distribution(final)
-                prob = float(dist[ff.element_to_index(fld, ff.ff_neg(fld, cand))])
-            return SolveReport(
-                variant=VARIANT_FIELD,
-                recovered_shift=cand,
-                recovered_modulus=None,
-                attempts=attempt,
-                coherent_queries=oracle.phase_query_count - q0,
-                classical_queries=oracle.query_count - c0,
-                zero_branch_probability=zero_prob,
-                exact_success_probability=prob,
-                exact_distribution=dist,
-                transcript=transcript,
-            )
-    raise RetriesExhausted(f"no verified shift in {MAX_ATTEMPTS} attempts")
+
+    def negated_element(index):
+        return ff.ff_neg(fld, ff.element_from_index(fld, index))
+
+    return _las_vegas(
+        oracle, fld.q + 1, rng,
+        stage=lambda state, transcript: _sqcp_stage(state, fld, transcript),
+        decode=negated_element,
+        decode_zero=negated_element,
+        verify=lambda cand: _verify_field(oracle, fld, cand, rng),
+        keep_transcript=keep_transcript,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -473,20 +476,19 @@ def solve_sqcp(
 
 def slsp_attempt_analysis(p: int, oracle: ShiftOracle):
     """(zero-branch probability, conditional final outcome distribution)."""
-    zero_prob, state = _prepare_exact(oracle, p)
+    _, state, zero_prob = prepare_character_state(oracle, p)
     return zero_prob, distribution(_legendre_stage(state, p))
 
 
 def sjsp_attempt_analysis(moduli: FactoredOddSquarefree, oracle: ShiftOracle):
     """Same, with the distribution over the factored register layout."""
-    zero_prob, state = _prepare_exact(oracle, moduli.n)
-    final, layout = _sjsp_stage(state, moduli)
-    return zero_prob, distribution(final), layout
+    _, state, zero_prob = prepare_character_state(oracle, moduli.n)
+    return zero_prob, distribution(_sjsp_stage(state, moduli)), RegisterLayout(moduli.factors)
 
 
 def sqcp_attempt_analysis(fld: ff.FieldSpec, oracle: ShiftOracle):
     """(zero-branch probability, conditional final outcome distribution)."""
-    zero_prob, state = _prepare_exact(oracle, fld.q + 1)
+    _, state, zero_prob = prepare_character_state(oracle, fld.q + 1)
     return zero_prob, distribution(_sqcp_stage(state, fld))
 
 

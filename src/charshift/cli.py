@@ -13,18 +13,20 @@ import csv
 import io
 import json
 import logging
-import math
 import os
 import sys
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import algorithms as alg
 from . import finite_field as ff
 from . import oracles as orc
-from .errors import CharshiftError, ConfigError
+from .errors import CharshiftError, ConfigError, DomainTooLarge
 from .number_theory import (
     GaussSumSpec,
     factor_trial,
@@ -99,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-dump", help="write the full x,f(x) table as CSV")
     p.add_argument("--variant", required=True,
-                   choices=("legendre", "jacobi", "jacobi-unknown", "field"))
+                   choices=[v.dump_name for v in VARIANTS.values()])
     p.add_argument("--p", type=int)
     p.add_argument("--r", type=int)
     p.add_argument("--n", type=int)
@@ -116,70 +118,136 @@ def build_parser() -> argparse.ArgumentParser:
 # solve commands
 
 
-def _resolve_shift(command, args):
-    """Turn --shift into a concrete value, drawing from the seeded rng for
-    "random" so whole experiments replay exactly."""
-    rng = np.random.default_rng(np.uint64(args.seed))
-    if command == "sqcp":
-        fld = _build_field(args)
-        if args.shift == "random":
-            return ff.element_from_index(fld, int(rng.integers(fld.q)))
-        return ff.parse_element(fld, args.shift)
-    size = {"slsp": lambda: args.p, "sjsp": lambda: args.n,
-            "sjsp-unknown": lambda: args.n}[command]()
-    if args.shift == "random":
-        return int(rng.integers(size))
-    try:
-        value = int(args.shift)
-    except ValueError:
-        raise ConfigError(f"--shift must be an integer or 'random', got {args.shift!r}")
-    if not 0 <= value < size:
-        raise ConfigError(f"--shift {value} outside [0, {size})")
-    return value
+def _prime_params(args):
+    if args.p < 3 or args.p % 2 == 0 or not is_prime(args.p):
+        raise ConfigError(f"--p {args.p} is not an odd prime")
+    return {"p": args.p}
 
 
-def _build_field(args) -> ff.FieldSpec:
-    modulus = ff.parse_poly(args.modulus) if args.modulus else None
-    return ff.make_field(args.p, args.r, modulus)
+def _modulus_params(args):
+    _checked(factor_trial, args.n)
+    return {"n": args.n}
+
+
+def _hidden_modulus_params(args):
+    _checked(factor_trial, args.n)
+    if args.n * args.n >= args.M:
+        raise ConfigError(f"need n^2 < M but {args.n}^2 >= {args.M}")
+    return {"n": args.n, "M": args.M}
+
+
+def _field_params(args):
+    fld = _checked(_build_field, args.p, args.r, args.modulus)
+    if fld.p == 2:
+        raise ConfigError("character experiments need odd characteristic")
+    return {"p": fld.p, "r": fld.r, "modulus": ff.format_poly(fld.modulus)}
+
+
+def _build_field(p, r, modulus=None) -> ff.FieldSpec:
+    """The field for --p, --r and an optional --modulus text."""
+    return ff.make_field(p, r, ff.parse_poly(modulus) if modulus else None)
+
+
+def _integer_shifts(size):
+    """Shift domain Z_size: (count, index -> shift, text -> shift)."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise ConfigError(f"--shift must be an integer or 'random', got {text!r}")
+        if not 0 <= value < size:
+            raise ConfigError(f"--shift {value} outside [0, {size})")
+        return value
+
+    return size, int, parse
+
+
+def _field_shifts(params):
+    """Shift domain F_q, in the same form as _integer_shifts."""
+    fld = _build_field(**params)
+    return fld.q, partial(ff.element_from_index, fld), partial(ff.parse_element, fld)
+
+
+@dataclass(frozen=True)
+class _Variant:
+    """Everything the solve commands and oracle-dump know about one variant.
+
+    Callables take the checked parameter dict that params() returns; it is
+    JSON-ready and is what worker processes receive.
+    """
+
+    dump_name: str  # the oracle-dump --variant value
+    needs: tuple  # flags oracle-dump requires for this variant
+    params: Callable  # args -> parameters, raising ConfigError
+    shifts: Callable  # params -> shift domain, as _integer_shifts returns it
+    oracle: Callable  # (params, shift) -> ShiftOracle
+    solve: Callable  # (params, oracle, rng) -> SolveReport
+    correct: Callable = lambda params, shift, rep: rep.recovered_shift == shift
+    fields: Callable = lambda rep: {"recovered_shift": rep.recovered_shift}
+
+
+VARIANTS = {
+    "slsp": _Variant(
+        "legendre", ("p",), _prime_params,
+        shifts=lambda params: _integer_shifts(params["p"]),
+        oracle=lambda params, shift: orc.legendre_oracle(params["p"], shift=shift),
+        solve=lambda params, oracle, rng: alg.solve_slsp(params["p"], oracle, rng),
+    ),
+    "sjsp": _Variant(
+        "jacobi", ("n",), _modulus_params,
+        shifts=lambda params: _integer_shifts(params["n"]),
+        oracle=lambda params, shift: orc.jacobi_oracle(params["n"], shift=shift),
+        solve=lambda params, oracle, rng: alg.solve_sjsp(
+            factor_trial(params["n"]), oracle, rng),
+    ),
+    "sjsp-unknown": _Variant(
+        "jacobi-unknown", ("n", "M"), _hidden_modulus_params,
+        shifts=lambda params: _integer_shifts(params["n"]),
+        oracle=lambda params, shift: orc.jacobi_unknown_oracle(
+            params["n"], params["M"], shift=shift),
+        solve=lambda params, oracle, rng: alg.solve_sjsp_unknown_n(params["M"], oracle, rng),
+        correct=lambda params, shift, rep: (
+            rep.recovered_shift == shift and rep.recovered_modulus == params["n"]),
+        fields=lambda rep: {"recovered_shift": rep.recovered_shift,
+                            "recovered_modulus": rep.recovered_modulus,
+                            "first_candidate": rep.candidate_moduli[0]},
+    ),
+    "sqcp": _Variant(
+        "field", ("p", "r"), _field_params,
+        shifts=_field_shifts,
+        oracle=lambda params, shift: orc.field_oracle(_build_field(**params), shift=shift),
+        solve=lambda params, oracle, rng: alg.solve_sqcp(oracle.field_spec, oracle, rng),
+        fields=lambda rep: {"recovered_shift": list(rep.recovered_shift)},
+    ),
+}
+
+
+def _resolve_shift(variant, params, text, seed):
+    """Turn --shift into a concrete value: None is the zero shift, and
+    "random" draws from the seeded rng so whole experiments replay exactly."""
+    size, from_index, parse = variant.shifts(params)
+    if text is None:
+        return from_index(0)
+    if text == "random":
+        return from_index(int(np.random.default_rng(np.uint64(seed)).integers(size)))
+    return _checked(parse, text)
 
 
 def _run_trial(command, params, shift, seed, trial) -> dict:
     """One independent solve; module-level so worker processes can run it."""
+    variant = VARIANTS[command]
     rng = np.random.default_rng(np.uint64(seed ^ trial))
-    if command == "slsp":
-        oracle = orc.legendre_oracle(params["p"], shift=shift)
-        rep = alg.solve_slsp(params["p"], oracle, rng)
-        correct = rep.recovered_shift == shift
-    elif command == "sjsp":
-        oracle = orc.jacobi_oracle(params["n"], shift=shift)
-        rep = alg.solve_sjsp(factor_trial(params["n"]), oracle, rng)
-        correct = rep.recovered_shift == shift
-    elif command == "sjsp-unknown":
-        oracle = orc.jacobi_unknown_oracle(params["n"], params["M"], shift=shift)
-        rep = alg.solve_sjsp_unknown_n(params["M"], oracle, rng)
-        correct = rep.recovered_shift == shift and rep.recovered_modulus == params["n"]
-    elif command == "sqcp":
-        fld = ff.make_field(params["p"], params["r"], ff.parse_poly(params["modulus"]))
-        oracle = orc.field_oracle(fld, shift=shift)
-        rep = alg.solve_sqcp(fld, oracle, rng)
-        correct = rep.recovered_shift == shift
-    else:
-        raise AssertionError(command)
-
-    record = {"trial": trial}
-    if command == "sqcp":
-        record["recovered_shift"] = list(rep.recovered_shift)
-    else:
-        record["recovered_shift"] = rep.recovered_shift
-    if command == "sjsp-unknown":
-        record["recovered_modulus"] = rep.recovered_modulus
-        record["first_candidate"] = rep.candidate_moduli[0]
-    record["attempts"] = rep.attempts
-    record["coherent_queries"] = rep.coherent_queries
-    record["classical_queries"] = rep.classical_queries
-    record["correct"] = bool(correct)
-    record["exact_attempt_probability"] = rep.exact_success_probability
-    return record
+    rep = variant.solve(params, variant.oracle(params, shift), rng)
+    return {
+        "trial": trial,
+        **variant.fields(rep),
+        "attempts": rep.attempts,
+        "coherent_queries": rep.coherent_queries,
+        "classical_queries": rep.classical_queries,
+        "correct": bool(variant.correct(params, shift, rep)),
+        "exact_attempt_probability": rep.exact_success_probability,
+    }
 
 
 def _solve_command(command, args) -> int:
@@ -190,33 +258,16 @@ def _solve_command(command, args) -> int:
     if args.workers < 1:
         raise ConfigError("--workers must be at least 1")
 
-    if command == "slsp":
-        if args.p < 3 or args.p % 2 == 0 or not is_prime(args.p):
-            raise ConfigError(f"--p {args.p} is not an odd prime")
-        params = {"p": args.p}
-    elif command == "sjsp":
-        _checked(factor_trial, args.n)
-        params = {"n": args.n}
-    elif command == "sjsp-unknown":
-        _checked(factor_trial, args.n)
-        if args.n * args.n >= args.M:
-            raise ConfigError(f"need n^2 < M but {args.n}^2 >= {args.M}")
-        params = {"n": args.n, "M": args.M}
-    else:  # sqcp
-        fld = _checked(_build_field, args)
-        if fld.p == 2:
-            raise ConfigError("character experiments need odd characteristic")
-        params = {"p": fld.p, "r": fld.r, "modulus": ff.format_poly(fld.modulus)}
+    variant = VARIANTS[command]
+    params = variant.params(args)
+    shift = _resolve_shift(variant, params, args.shift, args.seed)
 
-    shift = _checked(_resolve_shift, command, args)
-
-    trial_args = [(command, params, shift, args.seed, t) for t in range(args.trials)]
+    run = partial(_run_trial, command, params, shift, args.seed)
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            records = list(pool.map(_run_trial_star, trial_args))
+            records = list(pool.map(run, range(args.trials)))
     else:
-        records = [_run_trial(*a) for a in trial_args]
-    records.sort(key=lambda r: r["trial"])
+        records = list(map(run, range(args.trials)))
 
     exact = next(
         (r["exact_attempt_probability"] for r in records
@@ -238,10 +289,6 @@ def _solve_command(command, args) -> int:
 
     _emit_records(records, summary, args)
     return 0
-
-
-def _run_trial_star(packed):
-    return _run_trial(*packed)
 
 
 def _checked(fn, *fn_args):
@@ -315,7 +362,7 @@ def _verify_command(args) -> int:
     if args.suite == "tft":
         if args.p is None or args.r is None:
             raise ConfigError("verify tft requires --p and --r")
-        fld = _checked(_build_field, argparse.Namespace(p=args.p, r=args.r, modulus=None))
+        fld = _checked(_build_field, args.p, args.r)
         matrix_dev, unitary_dev = alg.tft_matrix_deviation(fld)
         _write_out(
             f"matrix deviation: {matrix_dev:.3e} (tolerance {_VERIFY_TOL:g})\n"
@@ -338,45 +385,14 @@ def _verify_command(args) -> int:
     return 0 if comparison.l1_distance <= comparison.bound + 1e-12 else 1
 
 
-def _parse_dump_shift(args):
-    # None -> zero shift; "random" -> drawn inside the oracle from the seed.
-    if args.shift is None:
-        return 0
-    if args.shift == "random":
-        return None
-    try:
-        return int(args.shift)
-    except ValueError:
-        raise ConfigError(f"--shift must be an integer or 'random', got {args.shift!r}")
-
-
 def _dump_command(args) -> int:
-    rng = np.random.default_rng(np.uint64(args.seed))
-    if args.variant == "legendre":
-        if args.p is None:
-            raise ConfigError("legendre dump requires --p")
-        oracle = _checked(orc.legendre_oracle, args.p, _parse_dump_shift(args), rng)
-    elif args.variant == "jacobi":
-        if args.n is None:
-            raise ConfigError("jacobi dump requires --n")
-        oracle = _checked(orc.jacobi_oracle, args.n, _parse_dump_shift(args), rng)
-    elif args.variant == "jacobi-unknown":
-        if args.n is None or args.M is None:
-            raise ConfigError("jacobi-unknown dump requires --n and --M")
-        oracle = _checked(
-            orc.jacobi_unknown_oracle, args.n, args.M, _parse_dump_shift(args), rng
-        )
-    else:
-        if args.p is None or args.r is None:
-            raise ConfigError("field dump requires --p and --r")
-        fld = _checked(_build_field, args)
-        if args.shift is None:
-            shift = ff.zero(fld)
-        elif args.shift == "random":
-            shift = None
-        else:
-            shift = _checked(ff.parse_element, fld, args.shift)
-        oracle = _checked(orc.field_oracle, fld, shift, rng)
+    variant = next(v for v in VARIANTS.values() if v.dump_name == args.variant)
+    if any(getattr(args, flag) is None for flag in variant.needs):
+        flags = " and ".join(f"--{flag}" for flag in variant.needs)
+        raise ConfigError(f"{args.variant} dump requires {flags}")
+    params = variant.params(args)
+    shift = _resolve_shift(variant, params, args.shift, args.seed)
+    oracle = _checked(variant.oracle, params, shift)
 
     if oracle.domain_size > _DUMP_LIMIT:
         raise ConfigError(f"domain of size {oracle.domain_size} exceeds {_DUMP_LIMIT}")
@@ -398,15 +414,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        if args.command in ("slsp", "sjsp", "sjsp-unknown", "sqcp"):
+        if args.command in VARIANTS:
             code = _solve_command(args.command, args)
-        elif args.command == "gauss":
-            code = _gauss_command(args)
-        elif args.command == "verify":
-            code = _verify_command(args)
         else:
-            code = _dump_command(args)
-    except ConfigError as exc:
+            handler = {"gauss": _gauss_command, "verify": _verify_command,
+                       "oracle-dump": _dump_command}[args.command]
+            code = handler(args)
+    except (ConfigError, DomainTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CharshiftError as exc:

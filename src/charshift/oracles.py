@@ -2,9 +2,10 @@
 
 An oracle hides its shift (and, for the unknown-modulus variant, the modulus
 itself) behind a counting surface: query() evaluates one point classically,
-phase_query() multiplies a whole superposition by the hidden function, and
-value_query_superposed() entangles a three-valued result register the way a
-reversible circuit would, so that applying it twice uncomputes the register.
+and value_query_superposed() entangles a three-valued result register the way
+a reversible circuit would, so that applying it twice uncomputes the register.
+The coherent counter keeps the name phase_query_count: a value query followed
+by result_sign_phase() is the phase query the algorithms need.
 
 Result register encoding: a function value v in {-1, 0, +1} is stored as the
 digit v mod 3 at the fast end of the index, i.e. composite index = x*3 + digit.
@@ -33,11 +34,6 @@ VARIANT_LEGENDRE = "legendre"
 VARIANT_JACOBI = "jacobi"
 VARIANT_JACOBI_UNKNOWN = "jacobi-unknown"
 VARIANT_FIELD = "field"
-
-
-def result_digit(index: int) -> int:
-    """The result-register digit of a composite index."""
-    return index % RESULT_DIM
 
 
 def result_is_zero(index: int) -> bool:
@@ -95,7 +91,8 @@ class ShiftOracle:
         """Evaluate the hidden function at one point; counts one classical query."""
         if self.variant == VARIANT_FIELD and isinstance(x, tuple):
             x = ff.element_to_index(self._field, ff.make_element(self._field, x))
-        if not isinstance(x, (int, np.integer)) or not 0 <= x < self.domain_size:
+        if (isinstance(x, bool) or not isinstance(x, (int, np.integer))
+                or not 0 <= x < self.domain_size):
             raise DomainViolation(f"{x!r} outside domain of size {self.domain_size}")
         self._bump("_query_count")
         return self._point_fn(int(x))
@@ -115,24 +112,6 @@ class ShiftOracle:
         upto = min(base_dim, self.domain_size)
         out[:upto] = self._table[:upto]
         return out
-
-    def phase_query(self, state: StateVector, zero_policy: str = "as-plus-one") -> StateVector:
-        """Multiply amplitudes by the hidden function values.
-
-        zero_policy "as-plus-one" leaves zero-valued positions untouched;
-        "reject" refuses states with support where the function vanishes.
-        Dummy slots beyond the domain always pass through unchanged.
-        """
-        if zero_policy not in ("as-plus-one", "reject"):
-            raise ValueError(f"unknown zero policy {zero_policy!r}")
-        values = self._values(state.dim).astype(np.float64)
-        if zero_policy == "reject":
-            occupied = np.abs(state.amps) > 1e-12
-            if np.any(occupied & (values == 0)):
-                raise DomainViolation("state has support where the function is zero")
-        signs = np.where(values == 0, 1.0, values)
-        self._bump("_phase_query_count")
-        return StateVector(state.amps * signs)
 
     def value_query_superposed(self, state: StateVector, entangled: bool = False) -> StateVector:
         """Coherently evaluate into the result register (one coherent query).

@@ -141,8 +141,7 @@ def distribution(state: StateVector) -> np.ndarray:
 def project(state: StateVector, predicate):
     """Probability mass on the predicate-true subspace plus the collapsed state.
 
-    Deterministic companion to measure_predicate; returns (prob, state) with
-    state None when the subspace carries no mass.
+    Returns (prob, state), with state None when the subspace carries no mass.
     """
     mask = np.fromiter(
         (bool(predicate(x)) for x in range(state.dim)), dtype=bool, count=state.dim
@@ -160,16 +159,6 @@ def measure(state: StateVector, rng) -> tuple[int, StateVector]:
     probs = probs / probs.sum()
     index = int(rng.choice(state.dim, p=probs))
     return index, basis_state(state.dim, index)
-
-
-def measure_predicate(state: StateVector, predicate, rng) -> tuple[bool, StateVector]:
-    """Measure whether the index satisfies the predicate; collapse accordingly."""
-    prob, yes = project(state, predicate)
-    outcome = bool(rng.random() < prob)
-    if outcome:
-        return True, yes
-    _, no = project(state, lambda x: not predicate(x))
-    return False, no
 
 
 @dataclass(frozen=True)
@@ -288,13 +277,3 @@ def equal_up_to_global_phase(a: StateVector, b: StateVector, tol: float = 1e-9) 
         ratio = a.amps[k] / b.amps[k]
         unit = ratio / abs(ratio)
     return bool(np.linalg.norm(a.amps - unit * b.amps) <= tol)
-
-
-def format_state_dump(state: StateVector) -> str:
-    """Debug listing: one "index<TAB>re<TAB>im" line per non-negligible amplitude."""
-    lines = []
-    for x in range(state.dim):
-        amp = complex(state.amps[x])
-        if abs(amp) >= 1e-12:
-            lines.append(f"{x}\t{amp.real!r}\t{amp.imag!r}")
-    return "\n".join(lines)

@@ -1,9 +1,11 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 
 from charshift.algorithms import (
+    MAX_REGISTER_DIM,
     best_convergent_denominator,
     best_convergent_fraction,
     prepare_character_state,
@@ -326,3 +328,31 @@ def test_solver_oracle_mismatch_rejected():
         solve_slsp(7, jacobi_oracle(15, shift=0), np.random.default_rng(0))
     with pytest.raises(ValueError):
         solve_sqcp(make_field(3, 2), legendre_oracle(7, shift=0), np.random.default_rng(0))
+
+
+def test_admission_limit_refuses_before_any_query():
+    assert MAX_REGISTER_DIM >= 1 << 16  # the largest register the benchmark solves
+    big_m = MAX_REGISTER_DIM + 1
+    oracle = jacobi_unknown_oracle(15, big_m, shift=0)
+    with pytest.raises(DomainTooLarge):
+        solve_sjsp_unknown_n(big_m, oracle, np.random.default_rng(0))
+    assert oracle.phase_query_count == 0 and oracle.query_count == 0
+
+
+def test_failed_attempts_logged_at_debug(caplog):
+    caplog.set_level(logging.DEBUG, logger="charshift.algorithms")
+    rep = solve_sjsp(factor_trial(15), jacobi_oracle(15, shift=10), np.random.default_rng(7))
+    assert rep.attempts == 5
+    assert [r.getMessage() for r in caplog.records] == [
+        "attempt 1 on a 15-slot register, accepted branch: verify failed",
+        "attempt 2 on a 15-slot register, accepted branch: verify failed",
+        "attempt 3 on a 15-slot register, zero branch: not decoded",
+        "attempt 4 on a 15-slot register, accepted branch: verify failed",
+    ]
+    caplog.clear()
+    rep = solve_sjsp_unknown_n(256, jacobi_unknown_oracle(15, 256, shift=3),
+                               np.random.default_rng(4))
+    assert rep.candidate_moduli == [2, 15]
+    assert [r.getMessage() for r in caplog.records] == [
+        "attempt 1 on a 256-slot register, accepted branch: decode rejected",
+    ]

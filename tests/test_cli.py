@@ -5,6 +5,9 @@ import sys
 
 import pytest
 
+from charshift import cli
+from charshift.algorithms import MAX_REGISTER_DIM
+
 BASE = [sys.executable, "-m", "charshift.cli"]
 
 
@@ -163,6 +166,13 @@ def test_log_diagnostics_go_to_stderr_only():
     assert "finished in" in logged.stderr  # timing stays off the result stream
     plain = run_cli("gauss", "--zp", "7")
     assert logged.stdout == plain.stdout
+    # retry diagnostics, one line per failed attempt, also stay on stderr
+    args = ["sjsp", "--n", "15", "--trials", "8", "--seed", "5"]
+    env = dict(os.environ, CHARSHIFT_LOG="DEBUG")
+    logged = subprocess.run(BASE + args, capture_output=True, text=True, env=env)
+    assert logged.returncode == 0
+    assert "accepted branch: verify failed" in logged.stderr
+    assert logged.stdout == run_cli(*args).stdout
 
 
 def test_determinism_across_commands():
@@ -177,3 +187,50 @@ def test_determinism_across_commands():
         first = run_cli(*args)
         second = run_cli(*args)
         assert first.stdout == second.stdout, args
+
+
+def test_admission_limit_exits_2(capsys):
+    code = cli.main(["sjsp-unknown", "--n", "15", "--M", str(MAX_REGISTER_DIM + 1)])
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
+# Per-trial outcomes recorded before the solvers shared one attempt loop:
+# (recovered_shift, recovered_modulus, first_candidate, attempts,
+#  coherent_queries, classical_queries, correct), then the summary's
+# exact_attempt_probability.  A change in the order of random draws moves them.
+PINNED = [
+    (["slsp", "--p", "13", "--trials", "6", "--seed", "99"],
+     [(12, None, None, 1, 2, 2, True)] * 6, 0.9230769230769231),
+    (["sjsp", "--n", "15", "--trials", "8", "--seed", "5"],
+     [(10, None, None, 1, 2, 15, True), (10, None, None, 1, 2, 15, True),
+      (10, None, None, 5, 9, 20, True), (10, None, None, 1, 2, 15, True),
+      (10, None, None, 5, 8, 17, True), (10, None, None, 5, 8, 18, True),
+      (10, None, None, 3, 4, 15, True), (10, None, None, 4, 6, 17, True)],
+     0.5333333333333338),
+    (["sjsp-unknown", "--n", "15", "--M", "16384", "--trials", "2", "--seed", "55"],
+     [(14, 15, 15, 1, 7, 55, True), (14, 15, 15, 2, 6, 55, True)], 0.5333333333333334),
+    (["sqcp", "--p", "3", "--r", "2", "--trials", "4", "--seed", "77"],
+     [([0, 0], None, None, 1, 2, 2, True)] * 4, 1.0000000000000018),
+]
+_PINNED_KEYS = ("recovered_shift", "recovered_modulus", "first_candidate", "attempts",
+                "coherent_queries", "classical_queries", "correct")
+
+
+@pytest.mark.parametrize("args,trials,exact", PINNED, ids=[case[0][0] for case in PINNED])
+def test_pinned_outcomes_per_seed(capsys, args, trials, exact):
+    assert cli.main(args) == 0
+    records, summary = parse_jsonl(capsys.readouterr().out)
+    assert [tuple(r.get(k) for k in _PINNED_KEYS) for r in records] == trials
+    assert summary["exact_attempt_probability"] == pytest.approx(exact, abs=1e-9)
+
+
+def test_pinned_outcomes_csv(capsys):
+    args, trials, exact = PINNED[1]
+    assert cli.main(args + ["--format", "csv"]) == 0
+    header, *rows, summary = capsys.readouterr().out.splitlines()
+    assert header == "trial,recovered_shift,attempts,coherent_queries,classical_queries,correct"
+    assert rows == [f"{t},{s},{a},{c},{k},{ok}"
+                    for t, (s, _, _, a, c, k, ok) in enumerate(trials)]
+    summary = json.loads(summary.removeprefix("# summary "))
+    assert summary["exact_attempt_probability"] == pytest.approx(exact, abs=1e-9)

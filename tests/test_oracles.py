@@ -22,7 +22,7 @@ from charshift.oracles import (
     result_is_zero,
     result_sign_phase,
 )
-from charshift.qsim import basis_state, distribution, normalized, project, qft
+from charshift.qsim import basis_state, distribution, project, qft
 
 
 def test_legendre_oracle_examples():
@@ -101,10 +101,9 @@ def test_query_counters():
     oracle.query(1)
     oracle.query(2)
     assert oracle.query_count == 2
-    state = qft(basis_state(7, 0))
-    oracle.phase_query(state)
+    tagged = oracle.value_query_superposed(qft(basis_state(7, 0)))
     assert oracle.phase_query_count == 1
-    oracle.value_query_superposed(state)
+    oracle.value_query_superposed(tagged, entangled=True)
     assert oracle.phase_query_count == 2
     assert oracle.query_count == 2  # coherent calls don't touch the classical counter
 
@@ -115,41 +114,6 @@ def test_secrecy_of_public_surface():
     assert set(public) == {"variant", "domain_size"}
     assert public["domain_size"] == 400
     assert oracle.peek_modulus() == 15 and oracle.peek_shift() == 7
-
-
-def test_phase_query_sign_table():
-    oracle = legendre_oracle(7, shift=0)
-    out = oracle.phase_query(qft(basis_state(7, 0)))
-    want = np.array([1, 1, 1, -1, 1, -1, -1]) / math.sqrt(7)  # squares mod 7: {1,2,4}
-    assert np.max(np.abs(out.amps - want)) < 1e-12
-
-
-def test_phase_query_on_basis_state():
-    oracle = legendre_oracle(7, shift=3)
-    for x in range(7):
-        out = oracle.phase_query(basis_state(7, x))
-        expected = legendre(x + 3, 7) or 1  # zero kept with phase +1
-        assert out.amps[x] == pytest.approx(expected)
-
-
-def test_phase_query_zero_policies():
-    oracle = legendre_oracle(7, shift=0)
-    support_off_zero = normalized([0, 1, 1, 1, 0, 0, 0])
-    a = oracle.phase_query(support_off_zero, zero_policy="as-plus-one")
-    b = oracle.phase_query(support_off_zero, zero_policy="reject")
-    assert np.allclose(a.amps, b.amps)
-    with pytest.raises(DomainViolation):
-        oracle.phase_query(qft(basis_state(7, 0)), zero_policy="reject")
-    with pytest.raises(ValueError):
-        oracle.phase_query(basis_state(7, 1), zero_policy="maybe")
-
-
-def test_phase_query_leaves_dummy_slots():
-    gf9 = make_field(3, 2)
-    oracle = field_oracle(gf9, shift=(0, 0))
-    padded = qft(basis_state(10, 0))
-    out = oracle.phase_query(padded)
-    assert out.amps[9] == padded.amps[9]
 
 
 def test_value_query_nonzero_mass():
@@ -187,10 +151,11 @@ def test_result_sign_phase():
     oracle = legendre_oracle(7, shift=0)
     tagged = oracle.value_query_superposed(qft(basis_state(7, 0)))
     signed = result_sign_phase(tagged)
+    # squares mod 7 are {1, 2, 4}; the zero value keeps phase +1
+    want = [1, 1, 1, -1, 1, -1, -1]
     for x in range(7):
         digit = legendre(x, 7) % 3
-        sign = -1 if digit == 2 else 1
-        assert signed.amps[x * 3 + digit] == pytest.approx(sign / math.sqrt(7))
+        assert signed.amps[x * 3 + digit] == pytest.approx(want[x] / math.sqrt(7))
 
 
 def test_value_query_dummy_slot_reads_plus_one():
@@ -209,6 +174,12 @@ def test_query_domain_checks():
         oracle.query(7)
     with pytest.raises(DomainViolation):
         oracle.query(-1)
+    for flag in (True, False, np.True_):
+        with pytest.raises(DomainViolation):
+            oracle.query(flag)
+    assert oracle.query_count == 0
+    with pytest.raises(DomainViolation):
+        field_oracle(make_field(3, 2), shift=(0, 0)).query(True)
     oracle = jacobi_unknown_oracle(15, 400, shift=0)
     assert oracle.query(399) in (-1, 0, 1)
     with pytest.raises(DomainViolation):

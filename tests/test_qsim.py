@@ -14,9 +14,7 @@ from charshift.qsim import (
     basis_state,
     distribution,
     equal_up_to_global_phase,
-    format_state_dump,
     measure,
-    measure_predicate,
     normalized,
     permute_basis,
     project,
@@ -155,15 +153,13 @@ def test_measure_frequencies_uniform():
     assert np.all(np.abs(counts - draws * 0.25) < 3 * sigma)
 
 
-def test_project_and_measure_predicate():
+def test_project():
     state = random_state(10, seed=9)
     prob, kept = project(state, lambda x: True)
     assert prob == pytest.approx(1.0) and np.allclose(kept.amps, state.amps)
-    rng = np.random.default_rng(3)
-    outcome, collapsed = measure_predicate(basis_state(5, 2), lambda x: x == 2, rng)
-    assert outcome is True and collapsed.amps[2] == 1
-    outcome, collapsed = measure_predicate(basis_state(5, 1), lambda x: x == 2, rng)
-    assert outcome is False and collapsed.amps[1] == 1
+    prob, kept = project(basis_state(5, 2), lambda x: x == 2)
+    assert prob == 1 and kept.amps[2] == 1
+    assert project(basis_state(5, 1), lambda x: x == 2) == (0.0, None)
     prob, _ = project(qft(basis_state(8, 0)), lambda x: x % 2 == 0)
     assert prob == pytest.approx(0.5)
 
@@ -241,16 +237,3 @@ def test_norm_preserved_through_pipeline():
     state = permute_basis(state, lambda x: (x * 8) % 21)
     state = qft(state, inverse=True)
     assert abs(distribution(state).sum() - 1) < 1e-9
-
-
-def test_format_state_dump():
-    amps = np.zeros(6, dtype=complex)
-    amps[1] = 1 / math.sqrt(2)
-    amps[4] = -1j / math.sqrt(2)
-    amps[5] = 1e-14  # below threshold, omitted
-    text = format_state_dump(normalized(amps))
-    lines = text.splitlines()
-    assert len(lines) == 2
-    idx, re_part, im_part = lines[0].split("\t")
-    assert idx == "1" and float(re_part) == pytest.approx(1 / math.sqrt(2))
-    assert lines[1].startswith("4\t")
