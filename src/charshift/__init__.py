@@ -65,7 +65,7 @@ from .oracles import (
     jacobi_oracle,
     jacobi_unknown_oracle,
     legendre_oracle,
-    result_is_zero,
+    result_zero_mask,
     result_sign_phase,
 )
 from .qsim import (

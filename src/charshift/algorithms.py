@@ -46,8 +46,8 @@ from .oracles import (
     VARIANT_LEGENDRE,
     ShiftOracle,
     discard_result_register,
-    result_is_zero,
     result_sign_phase,
+    result_zero_mask,
 )
 from .qsim import (
     RegisterLayout,
@@ -85,7 +85,9 @@ class SolveReport:
     state-preparation attempt measures a zero function value.  When the final
     register is desk-sized, exact_distribution holds the noiseless outcome
     distribution of the successful attempt's final measurement and
-    exact_success_probability its value at the correct outcome.
+    exact_success_probability its value at the correct outcome.  transcript
+    holds that attempt's stage checkpoints when keep_transcript asked for them;
+    it is None on a zero-branch success, which runs no stage.
     """
 
     variant: str
@@ -143,10 +145,11 @@ def prepare_character_state(oracle: ShiftOracle, dim: int, rng=None):
         raise DomainTooLarge(f"register of dimension {dim} exceeds {MAX_REGISTER_DIM}")
     state = qft(basis_state(dim, 0))
     state = oracle.value_query_superposed(state)
-    zero_prob, zero_state = project(state, result_is_zero)
+    zero = result_zero_mask(state.dim)
+    zero_prob, zero_state = project(state, zero)
     if rng is not None and rng.random() < zero_prob:
         return False, zero_state, zero_prob
-    _, state = project(state, lambda x: not result_is_zero(x))
+    _, state = project(state, ~zero)
     state = result_sign_phase(state)
     state = oracle.value_query_superposed(state, entangled=True)
     return True, discard_result_register(state), zero_prob
@@ -156,35 +159,50 @@ def prepare_character_state(oracle: ShiftOracle, dim: int, rng=None):
 # Fourier stages
 
 
+@lru_cache(maxsize=None)
+def _legendre_table(p: int) -> np.ndarray:
+    """(y/p) for every y in Z_p, by enumerating the nonzero squares."""
+    table = np.full(p, -1, dtype=np.int8)
+    table[0] = 0
+    table[(np.arange(1, p, dtype=np.int64) ** 2) % p] = 1
+    table.flags.writeable = False
+    return table
+
+
+def _unshifted_symbol(factors) -> np.ndarray:
+    """prod_j (y_j/p_j) over the row-major layout of Z_p1 x ... x Z_pk, with a
+    zero coordinate contributing +1: the phase a Fourier stage divides out."""
+    out = np.ones(1)
+    for p in factors:
+        row = _legendre_table(p).astype(np.float64)
+        row[0] = 1.0
+        out = np.multiply.outer(out, row).ravel()
+    return out
+
+
 def _legendre_stage(state: StateVector, p: int, transcript=None) -> StateVector:
     """Transform, divide out the unshifted symbol, transform back."""
     state = qft(state)
     if transcript is not None:
         transcript.append(("transformed", state))
-    state = apply_phase(state, lambda y: 1.0 if y == 0 else float(legendre(y, p)))
+    state = apply_phase(state, _unshifted_symbol((p,)))
     return qft(state, inverse=True)
 
 
 def _sjsp_stage(state: StateVector, moduli: FactoredOddSquarefree, transcript=None):
     """Split into prime-power registers and run the prime stage on each."""
-    layout = RegisterLayout(moduli.factors)
+    factors = moduli.factors
+    layout = RegisterLayout(factors)
+    xs = np.arange(moduli.n)
     state = permute_basis(
-        state, lambda x: layout.index(tuple(x % pj for pj in moduli.factors))
+        state, np.ravel_multi_index(tuple(xs % pj for pj in factors), factors)
     )
-    for axis in range(len(moduli.factors)):
+    for axis in range(len(factors)):
         state = qft_factor(state, layout, axis)
     if transcript is not None:
         transcript.append(("transformed", state))
-
-    def unshifted_symbol(index: int) -> float:
-        out = 1.0
-        for c, pj in zip(layout.coords(index), moduli.factors):
-            if c:
-                out *= legendre(c, pj)
-        return out
-
-    state = apply_phase(state, unshifted_symbol)
-    for axis in range(len(moduli.factors)):
+    state = apply_phase(state, _unshifted_symbol(factors))
+    for axis in range(len(factors)):
         state = qft_factor(state, layout, axis, inverse=True)
     return state
 
@@ -205,13 +223,16 @@ def _sqcp_stage(state: StateVector, fld: ff.FieldSpec, transcript=None) -> State
         transcript.append(("transformed", state))
     # chi(0) = 0 guarantees an empty |0> slot; the dummy amplitude lands there.
     assert abs(state.amps[0]) <= 1e-9, "slot y=0 unexpectedly occupied"
-    chi = _char_table(fld)
-    state = apply_phase(state, lambda y: float(chi[y]) if 0 < y < q else 1.0)
+    phases = np.ones(q + 1)
+    phases[1:q] = _char_table(fld)[1:]
+    state = apply_phase(state, phases)
+    swap = np.arange(q + 1)
+    swap[[0, q]] = q, 0
+    state = permute_basis(state, swap)
     unit = gauss_sum_closed_form(GaussSumSpec.for_field(fld)).unit
-    state = permute_basis(state, lambda y: {0: q, q: 0}.get(y, y))
-    state = apply_phase(
-        state, lambda y: unit if y == 0 else (unit.conjugate() if y == q else 1.0)
-    )
+    fold = np.ones(q + 1, dtype=np.complex128)
+    fold[[0, q]] = unit, unit.conjugate()
+    state = apply_phase(state, fold)
     return trace_fourier_transform(state, fld, inverse=True)
 
 
@@ -260,16 +281,15 @@ def _las_vegas(oracle, dim, rng, stage, decode, decode_zero, verify, keep_transc
     """
     q0, c0 = oracle.phase_query_count, oracle.query_count
     for attempt in range(1, MAX_ATTEMPTS + 1):
-        transcript = [] if keep_transcript and dim <= _ANALYSIS_DIM_LIMIT else None
         accepted, state, zero_prob = prepare_character_state(oracle, dim, rng)
-        final = cand = None
+        final = cand = transcript = None
         if accepted:
-            if transcript is not None:
-                transcript.append(("prepared", state))
+            if keep_transcript and dim <= _ANALYSIS_DIM_LIMIT:
+                transcript = [("prepared", state)]
             final = stage(state, transcript)
             if transcript is not None:
                 transcript.append(("final", final))
-            index, _ = measure(final, rng)
+            index = measure(final, rng)
             if index >= oracle.domain_size:  # rounding noise on an emptied dummy slot
                 reason = "dummy slot"
             else:
@@ -277,7 +297,7 @@ def _las_vegas(oracle, dim, rng, stage, decode, decode_zero, verify, keep_transc
         elif decode_zero is None:
             reason = "not decoded"
         else:
-            index, _ = measure(state, rng)
+            index = measure(state, rng)
             cand, reason = decode_zero(index // RESULT_DIM), "decode rejected"
         if cand is not None:
             if verify(cand):

@@ -36,9 +36,9 @@ VARIANT_JACOBI_UNKNOWN = "jacobi-unknown"
 VARIANT_FIELD = "field"
 
 
-def result_is_zero(index: int) -> bool:
-    """Predicate for measuring whether the computed function value was 0."""
-    return index % RESULT_DIM == 0
+def result_zero_mask(dim: int) -> np.ndarray:
+    """Mask of the composite indices whose computed function value is 0."""
+    return np.arange(dim) % RESULT_DIM == 0
 
 
 class ShiftOracle:

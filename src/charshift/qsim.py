@@ -1,8 +1,12 @@
 """Exact dense statevector simulation over arbitrary finite dimensions.
 
 Registers are plain index ranges 0..N-1 for any N, not qubit tensors, because
-every register in this package is Z_p-, Z_n-, Z_M-, or F_q-sized.  The
-forward Fourier transform uses the +2*pi*i sign convention.  All operations
+every register in this package is Z_p-, Z_n-, Z_M-, or F_q-sized.  Each of
+these is a finite abelian group, so one multi-axis DFT (numpy's pocketfft,
+O(N log N) for every N) serves the transform over Z_N, the transform on one
+sub-register of a composite register, and the trace transform over F_q.  The
+forward transform uses the +2*pi*i sign convention.  The phase, permutation
+and projection kernels take one array entry per basis index.  All operations
 return fresh states and never mutate their input.
 """
 
@@ -16,9 +20,6 @@ from . import finite_field as ff
 from .errors import DimensionMismatch, NonUnitPhase, NotBijective
 
 NORM_TOL = 1e-9
-
-# Above this size the O(N^2) summation gives way to Bluestein's chirp method.
-_DIRECT_LIMIT = 4096
 
 _DEAD_AMP = 1e-12  # amplitudes below this are treated as unoccupied
 
@@ -62,53 +63,35 @@ def normalized(amps) -> StateVector:
     return StateVector(amps / norm)
 
 
-def _qft_direct(amps: np.ndarray, sign: int) -> np.ndarray:
-    n = amps.shape[0]
-    xs = np.arange(n, dtype=np.int64)
-    out = np.empty(n, dtype=np.complex128)
-    chunk = max(1, (1 << 21) // n)  # bound the scratch phase matrix
-    for start in range(0, n, chunk):
-        ys = xs[start : start + chunk, None]
-        out[start : start + chunk] = (
-            np.exp((sign * 2j * np.pi / n) * ((ys * xs) % n)) @ amps
-        )
-    return out / math.sqrt(n)
-
-
-def _qft_bluestein(amps: np.ndarray, sign: int) -> np.ndarray:
-    # xy = (x^2 + y^2 - (x-y)^2) / 2 turns the transform into a convolution
-    # against an even chirp, evaluated with power-of-two FFTs.
-    n = amps.shape[0]
-    ks = np.arange(n, dtype=np.int64)
-    chirp = np.exp((sign * 1j * np.pi / n) * ((ks * ks) % (2 * n)))
-    m = 1 << (2 * n - 1).bit_length()
-    a = np.zeros(m, dtype=np.complex128)
-    a[:n] = amps * chirp
-    b = np.zeros(m, dtype=np.complex128)
-    b[:n] = np.conj(chirp)
-    b[m - n + 1 :] = np.conj(chirp[1:])[::-1]
-    conv = np.fft.ifft(np.fft.fft(a) * np.fft.fft(b))
-    return conv[:n] * chirp / math.sqrt(n)
+def _fourier(amps: np.ndarray, shape, axes, inverse: bool) -> np.ndarray:
+    # The one Fourier routine: an orthonormal DFT over the given axes of amps
+    # viewed as shape (axes=None: all of them).  numpy's ifft carries this
+    # package's +2*pi*i forward sign, so the inverse is numpy's fft.
+    fourier = np.fft.fftn if inverse else np.fft.ifftn
+    return fourier(amps.reshape(shape), axes=axes, norm="ortho").reshape(-1)
 
 
 def qft(state: StateVector, inverse: bool = False) -> StateVector:
     """Fourier transform over Z_N: amps[y] <- sum_x amps[x] w^(±xy) / sqrt(N)."""
-    n = state.dim
-    if n == 1:
-        return StateVector(state.amps)
-    sign = -1 if inverse else 1
-    if n <= _DIRECT_LIMIT:
-        return StateVector(_qft_direct(state.amps, sign))
-    return StateVector(_qft_bluestein(state.amps, sign))
+    return StateVector(_fourier(state.amps, state.dim, None, inverse))
 
 
-def apply_phase(state: StateVector, phase_fn) -> StateVector:
-    """Multiply each amplitude by phase_fn(index).
+def _per_index(state: StateVector, values, dtype) -> np.ndarray:
+    values = np.asarray(values, dtype=dtype)
+    if values.shape != (state.dim,):
+        raise DimensionMismatch(
+            f"{values.shape} values for a state of dimension {state.dim}"
+        )
+    return values
+
+
+def apply_phase(state: StateVector, phases) -> StateVector:
+    """Multiply amplitude x by phases[x].
 
     The phase must have unit magnitude wherever the state has support;
-    indices with negligible amplitude may map to anything.
+    indices with negligible amplitude may hold anything.
     """
-    phases = np.array([complex(phase_fn(x)) for x in range(state.dim)])
+    phases = _per_index(state, phases, np.complex128)
     live = np.abs(state.amps) > _DEAD_AMP
     bad = live & (np.abs(np.abs(phases) - 1.0) > 1e-12)
     if np.any(bad):
@@ -117,16 +100,13 @@ def apply_phase(state: StateVector, phase_fn) -> StateVector:
     return StateVector(np.where(live, state.amps * phases, state.amps))
 
 
-def permute_basis(state: StateVector, bijection) -> StateVector:
-    """Relabel basis states: new_amps[sigma(x)] = amps[x]."""
+def permute_basis(state: StateVector, sigma) -> StateVector:
+    """Relabel basis states: new_amps[sigma[x]] = amps[x]."""
     n = state.dim
-    sigma = np.fromiter((bijection(x) for x in range(n)), dtype=np.int64, count=n)
-    counts = np.zeros(n, dtype=np.int64)
-    valid = (sigma >= 0) & (sigma < n)
-    if not np.all(valid):
+    sigma = _per_index(state, sigma, np.int64)
+    if np.any((sigma < 0) | (sigma >= n)):
         raise NotBijective("image leaves the index range")
-    np.add.at(counts, sigma, 1)
-    if np.any(counts != 1):
+    if np.any(np.bincount(sigma, minlength=n) != 1):
         raise NotBijective("map is not a bijection on the index set")
     out = np.empty(n, dtype=np.complex128)
     out[sigma] = state.amps
@@ -138,14 +118,12 @@ def distribution(state: StateVector) -> np.ndarray:
     return np.abs(state.amps) ** 2
 
 
-def project(state: StateVector, predicate):
-    """Probability mass on the predicate-true subspace plus the collapsed state.
+def project(state: StateVector, mask):
+    """Probability mass on the indices where mask is true, plus the collapsed state.
 
     Returns (prob, state), with state None when the subspace carries no mass.
     """
-    mask = np.fromiter(
-        (bool(predicate(x)) for x in range(state.dim)), dtype=bool, count=state.dim
-    )
+    mask = _per_index(state, mask, bool)
     prob = float(np.sum(np.abs(state.amps[mask]) ** 2))
     if prob < 1e-15:
         return prob, None
@@ -153,12 +131,11 @@ def project(state: StateVector, predicate):
     return prob, StateVector(amps)
 
 
-def measure(state: StateVector, rng) -> tuple[int, StateVector]:
-    """Sample an index from |amps|^2 and collapse onto it."""
+def measure(state: StateVector, rng) -> int:
+    """Sample an index from |amps|^2."""
     probs = distribution(state)
     probs = probs / probs.sum()
-    index = int(rng.choice(state.dim, p=probs))
-    return index, basis_state(state.dim, index)
+    return int(rng.choice(state.dim, p=probs))
 
 
 @dataclass(frozen=True)
@@ -197,20 +174,6 @@ class RegisterLayout:
         return tuple(reversed(out))
 
 
-@lru_cache(maxsize=None)
-def _qft_matrix(dim: int, sign: int) -> np.ndarray:
-    ks = np.arange(dim, dtype=np.int64)
-    mat = np.exp((sign * 2j * np.pi / dim) * (np.outer(ks, ks) % dim)) / math.sqrt(dim)
-    mat.flags.writeable = False
-    return mat
-
-
-def _transform_axis(block: np.ndarray, dims, axis: int, mat: np.ndarray) -> np.ndarray:
-    tensor = block.reshape(dims)
-    tensor = np.moveaxis(np.tensordot(mat, tensor, axes=([1], [axis])), 0, axis)
-    return tensor.reshape(block.shape)
-
-
 def qft_factor(
     state: StateVector, layout: RegisterLayout, axis: int, inverse: bool = False
 ) -> StateVector:
@@ -219,8 +182,7 @@ def qft_factor(
         raise DimensionMismatch(
             f"layout covers {layout.total} indices, state has {state.dim}"
         )
-    mat = _qft_matrix(layout.dims[axis], -1 if inverse else 1)
-    return StateVector(_transform_axis(state.amps, layout.dims, axis, mat))
+    return StateVector(_fourier(state.amps, layout.dims, (axis,), inverse))
 
 
 @lru_cache(maxsize=None)
@@ -248,20 +210,15 @@ def trace_fourier_transform(
     q = fld.q
     if state.dim < q:
         raise DimensionMismatch(f"state dimension {state.dim} below field size {q}")
-    sigma = _trace_permutation(fld)
+    sigma = np.asarray(_trace_permutation(fld))
     dims = (fld.p,) * fld.r
     amps = np.array(state.amps, dtype=np.complex128)
-    block = amps[:q]
     if not inverse:
         permuted = np.empty(q, dtype=np.complex128)
-        permuted[np.asarray(sigma)] = block
-        for axis in range(fld.r):
-            permuted = _transform_axis(permuted, dims, axis, _qft_matrix(fld.p, 1))
-        amps[:q] = permuted
+        permuted[sigma] = amps[:q]
+        amps[:q] = _fourier(permuted, dims, None, False)
     else:
-        for axis in range(fld.r):
-            block = _transform_axis(block, dims, axis, _qft_matrix(fld.p, -1))
-        amps[:q] = block[np.asarray(sigma)]
+        amps[:q] = _fourier(amps[:q], dims, None, True)[sigma]
     return StateVector(amps)
 
 

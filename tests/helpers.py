@@ -35,6 +35,21 @@ def jacobi_row_by_product(n: int) -> np.ndarray:
     return row
 
 
+def dft_direct(amps: np.ndarray, sign: int) -> np.ndarray:
+    """sum_x amps[x] exp(sign*2*pi*i*(x*y mod N)/N) / sqrt(N), summed directly.
+
+    Rows of the kernel are built a chunk at a time, so no N x N matrix exists.
+    """
+    n = amps.shape[0]
+    xs = np.arange(n, dtype=np.int64)
+    out = np.empty(n, dtype=np.complex128)
+    chunk = max(1, (1 << 20) // n)
+    for start in range(0, n, chunk):
+        ys = xs[start : start + chunk, None]
+        out[start : start + chunk] = np.exp((sign * 2j * np.pi / n) * ((ys * xs) % n)) @ amps
+    return out / np.sqrt(n)
+
+
 def odd_squarefree_up_to(limit: int) -> list[int]:
     out = []
     for n in range(3, limit + 1, 2):

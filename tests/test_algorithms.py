@@ -172,6 +172,18 @@ def test_sqcp_conditional_distribution_one_hot():
     assert np.max(np.delete(dist, target)) < 1e-9
 
 
+def test_zero_branch_success_keeps_no_transcript():
+    # seed 3 measures the zero value on its first attempt and returns the
+    # shift from it; no stage ran, so there is no transcript to keep
+    gf9 = make_field(3, 2)
+    shift = make_element(gf9, (1, 2))
+    rep = solve_sqcp(gf9, field_oracle(gf9, shift=shift), np.random.default_rng(3),
+                     keep_transcript=True)
+    assert rep.attempts == 1 and rep.exact_distribution is None
+    assert rep.recovered_shift == shift
+    assert rep.transcript is None
+
+
 def test_sqcp_transform_checkpoint_matches_gauss_display():
     # right after the trace transform the state is
     # (G/q) sum_y chi(y) w^(Tr(-s y)) |y>  +  (1/sqrt(q)) |dummy>

@@ -19,7 +19,7 @@ from charshift.oracles import (
     jacobi_oracle,
     jacobi_unknown_oracle,
     legendre_oracle,
-    result_is_zero,
+    result_zero_mask,
     result_sign_phase,
 )
 from charshift.qsim import basis_state, distribution, project, qft
@@ -119,7 +119,7 @@ def test_secrecy_of_public_surface():
 def test_value_query_nonzero_mass():
     oracle = jacobi_oracle(15, shift=0)
     tagged = oracle.value_query_superposed(qft(basis_state(15, 0)))
-    prob, _ = project(tagged, lambda idx: not result_is_zero(idx))
+    prob, _ = project(tagged, ~result_zero_mask(tagged.dim))
     assert prob == pytest.approx(8 / 15)  # phi(15)/15
 
 
@@ -164,7 +164,7 @@ def test_value_query_dummy_slot_reads_plus_one():
     tagged = oracle.value_query_superposed(qft(basis_state(10, 0)))
     # the padding slot behaves like a +1 value: digit 1
     assert abs(tagged.amps[9 * 3 + 1]) == pytest.approx(1 / math.sqrt(10))
-    prob, _ = project(tagged, result_is_zero)
+    prob, _ = project(tagged, result_zero_mask(tagged.dim))
     assert prob == pytest.approx(1 / 10)
 
 

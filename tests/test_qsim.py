@@ -8,8 +8,6 @@ from charshift.finite_field import make_field
 from charshift.qsim import (
     RegisterLayout,
     StateVector,
-    _qft_bluestein,
-    _qft_direct,
     apply_phase,
     basis_state,
     distribution,
@@ -22,6 +20,7 @@ from charshift.qsim import (
     qft_factor,
     trace_fourier_transform,
 )
+from helpers import dft_direct
 
 
 def random_state(dim, seed=0):
@@ -72,54 +71,66 @@ def test_qft_unitary_exhaustive_small():
 
 @pytest.mark.parametrize("dim", [4095, 4096, 4097])
 def test_qft_paths_agree_at_crossover(dim):
+    # qft against its literal kernel on sizes factored as 3^2*5*7*13, 2^12
+    # and 17*241, for both signs
+    x_seeded = int(np.random.default_rng(dim).integers(2, dim - 1))
+    ys = np.arange(dim, dtype=np.int64)
     amps = random_state(dim, seed=dim).amps
-    for sign in (1, -1):
-        a = _qft_direct(amps, sign)
-        b = _qft_bluestein(amps, sign)
-        assert np.max(np.abs(a - b)) < 1e-9
+    for inverse, sign in ((False, 1), (True, -1)):
+        for x in (1, dim - 1, x_seeded):
+            column = qft(basis_state(dim, x), inverse=inverse).amps
+            kernel = np.exp(sign * 2j * np.pi * ((x * ys) % dim) / dim) / math.sqrt(dim)
+            assert np.max(np.abs(column - kernel)) < 1e-9
+        out = qft(StateVector(amps), inverse=inverse).amps
+        assert np.max(np.abs(out - dft_direct(amps, sign))) < 1e-9
 
 
 def test_apply_phase():
     state = random_state(9, seed=3)
-    assert np.allclose(apply_phase(state, lambda x: 1.0).amps, state.amps)
-    flipped = apply_phase(state, lambda x: -1.0)
+    assert np.allclose(apply_phase(state, np.ones(9)).amps, state.amps)
+    flipped = apply_phase(state, np.full(9, -1.0))
     assert equal_up_to_global_phase(flipped, state, tol=1e-12)
     # a linear phase on the uniform state is a shifted-transform state
     uniform = qft(basis_state(5, 0))
-    shifted = apply_phase(uniform, lambda x: np.exp(2j * np.pi * x / 5))
+    shifted = apply_phase(uniform, np.exp(2j * np.pi * np.arange(5) / 5))
     assert np.max(np.abs(shifted.amps - qft(basis_state(5, 1)).amps)) < 1e-12
     with pytest.raises(NonUnitPhase):
-        apply_phase(state, lambda x: 0.5)
+        apply_phase(state, np.full(9, 0.5))
+    with pytest.raises(DimensionMismatch):
+        apply_phase(state, np.ones(8))
 
 
 def test_apply_phase_ignores_unoccupied_slots():
     state = basis_state(4, 2)
-    out = apply_phase(state, lambda x: 1.0 if x == 2 else 0.0)
+    out = apply_phase(state, [0.0, 0.0, 1.0, 0.0])
     assert np.allclose(out.amps, state.amps)
 
 
 def test_permute_basis():
     state = random_state(15, seed=1)
-    assert np.allclose(permute_basis(state, lambda x: x).amps, state.amps)
+    xs = np.arange(15)
+    assert np.allclose(permute_basis(state, xs).amps, state.amps)
     # relabeling by residues: index 7 -> (1, 2) -> 1*5 + 2 = 7 under (3, 5)
     layout = RegisterLayout((3, 5))
-    crt = lambda x: layout.index((x % 3, x % 5))
-    assert crt(7) == 7
+    crt = [layout.index((x % 3, x % 5)) for x in range(15)]
+    assert crt[7] == 7
     moved = permute_basis(basis_state(15, 7), crt)
     assert moved.amps[7] == 1
     # swapping two equal registers is an involution
     sw_layout = RegisterLayout((4, 4))
-    swap = lambda x: sw_layout.index(tuple(reversed(sw_layout.coords(x))))
+    swap = [sw_layout.index(tuple(reversed(sw_layout.coords(x)))) for x in range(16)]
     state16 = random_state(16, seed=5)
     twice = permute_basis(permute_basis(state16, swap), swap)
     assert np.allclose(twice.amps, state16.amps)
     # amplitude magnitudes survive any relabeling
-    perm = permute_basis(state, lambda x: (x * 7 + 3) % 15)
+    perm = permute_basis(state, (xs * 7 + 3) % 15)
     assert sorted(np.abs(perm.amps)) == pytest.approx(sorted(np.abs(state.amps)))
     with pytest.raises(NotBijective):
-        permute_basis(state, lambda x: 0)
+        permute_basis(state, np.zeros(15))
     with pytest.raises(NotBijective):
-        permute_basis(state, lambda x: x + 1)
+        permute_basis(state, xs + 1)
+    with pytest.raises(DimensionMismatch):
+        permute_basis(state, xs[:14])
 
 
 def test_distribution():
@@ -129,16 +140,14 @@ def test_distribution():
 
 def test_measure_collapses():
     rng = np.random.default_rng(0)
-    idx, collapsed = measure(basis_state(6, 4), rng)
-    assert idx == 4 and collapsed.amps[4] == 1
+    assert measure(basis_state(6, 4), rng) == 4
 
 
 def test_measure_never_hits_empty_slots():
     rng = np.random.default_rng(1)
     state = normalized([1, 0, 1, 0])
     for _ in range(200):
-        idx, _ = measure(state, rng)
-        assert idx in (0, 2)
+        assert measure(state, rng) in (0, 2)
 
 
 def test_measure_frequencies_uniform():
@@ -147,21 +156,23 @@ def test_measure_frequencies_uniform():
     counts = np.zeros(4)
     draws = 10_000
     for _ in range(draws):
-        idx, _ = measure(state, rng)
-        counts[idx] += 1
+        counts[measure(state, rng)] += 1
     sigma = math.sqrt(draws * 0.25 * 0.75)
     assert np.all(np.abs(counts - draws * 0.25) < 3 * sigma)
 
 
 def test_project():
     state = random_state(10, seed=9)
-    prob, kept = project(state, lambda x: True)
+    prob, kept = project(state, np.ones(10, dtype=bool))
     assert prob == pytest.approx(1.0) and np.allclose(kept.amps, state.amps)
-    prob, kept = project(basis_state(5, 2), lambda x: x == 2)
+    at2 = np.arange(5) == 2
+    prob, kept = project(basis_state(5, 2), at2)
     assert prob == 1 and kept.amps[2] == 1
-    assert project(basis_state(5, 1), lambda x: x == 2) == (0.0, None)
-    prob, _ = project(qft(basis_state(8, 0)), lambda x: x % 2 == 0)
+    assert project(basis_state(5, 1), at2) == (0.0, None)
+    prob, _ = project(qft(basis_state(8, 0)), np.arange(8) % 2 == 0)
     assert prob == pytest.approx(0.5)
+    with pytest.raises(DimensionMismatch):
+        project(state, at2)
 
 
 def test_register_layout():
@@ -233,7 +244,8 @@ def test_equal_up_to_global_phase():
 def test_norm_preserved_through_pipeline():
     state = random_state(21, seed=13)
     state = qft(state)
-    state = apply_phase(state, lambda x: -1.0 if x % 2 else 1.0)
-    state = permute_basis(state, lambda x: (x * 8) % 21)
+    xs = np.arange(21)
+    state = apply_phase(state, np.where(xs % 2, -1.0, 1.0))
+    state = permute_basis(state, (xs * 8) % 21)
     state = qft(state, inverse=True)
     assert abs(distribution(state).sum() - 1) < 1e-9
