@@ -40,7 +40,6 @@ from .finite_field import (
     quadratic_character,
     trace,
     trace_coordinates,
-    trace_coordinates_inverse,
     zero,
 )
 from .number_theory import (
@@ -49,7 +48,6 @@ from .number_theory import (
     GaussSumSpec,
     convergents,
     crt_compose,
-    crt_split,
     euler_phi,
     factor_trial,
     gauss_sum_bruteforce,

@@ -72,7 +72,10 @@ PERIOD_PROBES = 20
 # Largest register a solve or analysis may allocate; see prepare_character_state.
 MAX_REGISTER_DIM = 1 << 20
 
-# Exact distributions and transcripts are only recorded up to this dimension.
+# Largest field tft_matrix_deviation accepts; see its docstring.
+TFT_MAX_Q = 1 << 10
+
+# Exact distributions are only recorded up to this dimension.
 _ANALYSIS_DIM_LIMIT = 4096
 
 
@@ -85,9 +88,7 @@ class SolveReport:
     state-preparation attempt measures a zero function value.  When the final
     register is desk-sized, exact_distribution holds the noiseless outcome
     distribution of the successful attempt's final measurement and
-    exact_success_probability its value at the correct outcome.  transcript
-    holds that attempt's stage checkpoints when keep_transcript asked for them;
-    it is None on a zero-branch success, which runs no stage.
+    exact_success_probability its value at the correct outcome.
     """
 
     variant: str
@@ -100,7 +101,6 @@ class SolveReport:
     exact_success_probability: float | None = None
     exact_distribution: np.ndarray | None = None
     candidate_moduli: list = field(default_factory=list)
-    transcript: list | None = None
 
 
 @dataclass(frozen=True)
@@ -180,16 +180,14 @@ def _unshifted_symbol(factors) -> np.ndarray:
     return out
 
 
-def _legendre_stage(state: StateVector, p: int, transcript=None) -> StateVector:
+def _legendre_stage(state: StateVector, p: int) -> StateVector:
     """Transform, divide out the unshifted symbol, transform back."""
     state = qft(state)
-    if transcript is not None:
-        transcript.append(("transformed", state))
     state = apply_phase(state, _unshifted_symbol((p,)))
     return qft(state, inverse=True)
 
 
-def _sjsp_stage(state: StateVector, moduli: FactoredOddSquarefree, transcript=None):
+def _sjsp_stage(state: StateVector, moduli: FactoredOddSquarefree) -> StateVector:
     """Split into prime-power registers and run the prime stage on each."""
     factors = moduli.factors
     layout = RegisterLayout(factors)
@@ -199,8 +197,6 @@ def _sjsp_stage(state: StateVector, moduli: FactoredOddSquarefree, transcript=No
     )
     for axis in range(len(factors)):
         state = qft_factor(state, layout, axis)
-    if transcript is not None:
-        transcript.append(("transformed", state))
     state = apply_phase(state, _unshifted_symbol(factors))
     for axis in range(len(factors)):
         state = qft_factor(state, layout, axis, inverse=True)
@@ -215,12 +211,10 @@ def _char_table(fld: ff.FieldSpec) -> tuple[int, ...]:
     )
 
 
-def _sqcp_stage(state: StateVector, fld: ff.FieldSpec, transcript=None) -> StateVector:
+def _sqcp_stage(state: StateVector, fld: ff.FieldSpec) -> StateVector:
     """Trace-transform, strip character phases, fold the dummy slot onto |0>."""
     q = fld.q
     state = trace_fourier_transform(state, fld)
-    if transcript is not None:
-        transcript.append(("transformed", state))
     # chi(0) = 0 guarantees an empty |0> slot; the dummy amplitude lands there.
     assert abs(state.amps[0]) <= 1e-9, "slot y=0 unexpectedly occupied"
     phases = np.ones(q + 1)
@@ -267,11 +261,11 @@ def _verify_jacobi(oracle: ShiftOracle, n: int, cand: int) -> bool:
 # solvers
 
 
-def _las_vegas(oracle, dim, rng, stage, decode, decode_zero, verify, keep_transcript):
+def _las_vegas(oracle, dim, rng, stage, decode, decode_zero, verify):
     """The attempt loop shared by every solver.
 
     An attempt prepares the character state on a dim-slot register.  On the
-    accepted branch stage(state, transcript) gives the final state, and its
+    accepted branch stage(state) gives the final state, and its
     measured outcome goes through decode unless it is a dummy slot beyond the
     oracle domain.  On the zero branch the measured domain point goes through
     decode_zero, or the attempt is retried when decode_zero is None.  A
@@ -282,13 +276,9 @@ def _las_vegas(oracle, dim, rng, stage, decode, decode_zero, verify, keep_transc
     q0, c0 = oracle.phase_query_count, oracle.query_count
     for attempt in range(1, MAX_ATTEMPTS + 1):
         accepted, state, zero_prob = prepare_character_state(oracle, dim, rng)
-        final = cand = transcript = None
+        final = cand = None
         if accepted:
-            if keep_transcript and dim <= _ANALYSIS_DIM_LIMIT:
-                transcript = [("prepared", state)]
-            final = stage(state, transcript)
-            if transcript is not None:
-                transcript.append(("final", final))
+            final = stage(state)
             index = measure(final, rng)
             if index >= oracle.domain_size:  # rounding noise on an emptied dummy slot
                 reason = "dummy slot"
@@ -317,7 +307,6 @@ def _las_vegas(oracle, dim, rng, stage, decode, decode_zero, verify, keep_transc
                     zero_branch_probability=zero_prob,
                     exact_success_probability=prob,
                     exact_distribution=dist,
-                    transcript=transcript,
                 )
             reason = "verify failed"
         log.debug("attempt %d on a %d-slot register, %s branch: %s", attempt, dim,
@@ -325,7 +314,7 @@ def _las_vegas(oracle, dim, rng, stage, decode, decode_zero, verify, keep_transc
     raise RetriesExhausted(f"no verified candidate in {MAX_ATTEMPTS} attempts")
 
 
-def solve_slsp(p: int, oracle: ShiftOracle, rng, keep_transcript: bool = False) -> SolveReport:
+def solve_slsp(p: int, oracle: ShiftOracle, rng) -> SolveReport:
     """Recover the shift of a Legendre-symbol oracle over Z_p.
 
     Each attempt spends exactly two coherent queries.  A measured zero value
@@ -341,17 +330,14 @@ def solve_slsp(p: int, oracle: ShiftOracle, rng, keep_transcript: bool = False) 
 
     return _las_vegas(
         oracle, p, rng,
-        stage=lambda state, transcript: _legendre_stage(state, p, transcript),
+        stage=lambda state: _legendre_stage(state, p),
         decode=negate,
         decode_zero=negate,
         verify=lambda cand: _verify_legendre(oracle, p, cand, rng),
-        keep_transcript=keep_transcript,
     )
 
 
-def solve_sjsp(
-    moduli: FactoredOddSquarefree, oracle: ShiftOracle, rng, keep_transcript: bool = False
-) -> SolveReport:
+def solve_sjsp(moduli: FactoredOddSquarefree, oracle: ShiftOracle, rng) -> SolveReport:
     """Recover the shift of a Jacobi-symbol oracle with known square-free n.
 
     The zero branch of the preparation measurement carries no shift
@@ -373,21 +359,19 @@ def solve_sjsp(
 
     return _las_vegas(
         oracle, n, rng,
-        stage=lambda state, transcript: _sjsp_stage(state, moduli, transcript),
+        stage=lambda state: _sjsp_stage(state, moduli),
         decode=decode,
         decode_zero=None,
         verify=lambda cand: _verify_jacobi(oracle, n, cand),
-        keep_transcript=keep_transcript,
     )
 
 
-def best_convergent_fraction(i: int, big_m: int, max_den: int | None = None) -> Fraction:
+def best_convergent_fraction(i: int, big_m: int) -> Fraction:
     """The largest-denominator convergent of i/M with denominator <= sqrt(M)."""
-    if max_den is None:
-        max_den = math.isqrt(big_m)
+    limit = math.isqrt(big_m)
     best = Fraction(0, 1)
     for frac in convergents(i, big_m):
-        if frac.denominator <= max_den:
+        if frac.denominator <= limit:
             best = frac
         else:
             break
@@ -398,9 +382,9 @@ def best_convergent_denominator(i: int, big_m: int) -> int:
     return best_convergent_fraction(i, big_m).denominator
 
 
-def _period_holds(oracle: ShiftOracle, period: int, rng, probes: int = PERIOD_PROBES) -> bool:
+def _period_holds(oracle: ShiftOracle, period: int, rng) -> bool:
     top = oracle.domain_size - period
-    for _ in range(probes):
+    for _ in range(PERIOD_PROBES):
         x = int(rng.integers(top))
         if oracle.query(x) != oracle.query(x + period):
             return False
@@ -444,11 +428,10 @@ def solve_sjsp_unknown_n(big_m: int, oracle: ShiftOracle, rng) -> SolveReport:
 
     report = _las_vegas(
         oracle, big_m, rng,
-        stage=lambda state, transcript: qft(state),
+        stage=qft,
         decode=decode,
         decode_zero=None,
         verify=verify,
-        keep_transcript=False,
     )
     # The loop's candidate is the factored modulus; the shift, and the exact
     # figures, come from the known-modulus sub-solve that verified it.
@@ -463,9 +446,7 @@ def solve_sjsp_unknown_n(big_m: int, oracle: ShiftOracle, rng) -> SolveReport:
     )
 
 
-def solve_sqcp(
-    fld: ff.FieldSpec, oracle: ShiftOracle, rng, keep_transcript: bool = False
-) -> SolveReport:
+def solve_sqcp(fld: ff.FieldSpec, oracle: ShiftOracle, rng) -> SolveReport:
     """Recover the shift of a quadratic-character oracle over F_q.
 
     The register has one extra dummy slot so the preparation succeeds with
@@ -482,11 +463,10 @@ def solve_sqcp(
 
     return _las_vegas(
         oracle, fld.q + 1, rng,
-        stage=lambda state, transcript: _sqcp_stage(state, fld, transcript),
+        stage=lambda state: _sqcp_stage(state, fld),
         decode=negated_element,
         decode_zero=negated_element,
         verify=lambda cand: _verify_field(oracle, fld, cand, rng),
-        keep_transcript=keep_transcript,
     )
 
 
@@ -522,8 +502,15 @@ def tft_matrix_deviation(fld: ff.FieldSpec) -> tuple[float, float]:
     Returns (max entrywise deviation from q^(-1/2)[w_p^Tr(xy)], max deviation
     of U*U from the identity).  Columns are built by transforming every basis
     state, so this exercises the permutation + factor-transform composition.
+
+    The composed and literal matrices are dense q x q complex128, 16*q^2
+    bytes each, and the comparison makes temporaries of the same size: about
+    16 MiB apiece at q = TFT_MAX_Q = 2^10, but 6.2 GB at q = 3^9.  A larger q
+    raises DomainTooLarge before anything is allocated.
     """
     q = fld.q
+    if q > TFT_MAX_Q:
+        raise DomainTooLarge(f"field of size {q} exceeds {TFT_MAX_Q}")
     composed = np.empty((q, q), dtype=np.complex128)
     for x in range(q):
         composed[:, x] = trace_fourier_transform(basis_state(q, x), fld).amps
@@ -578,10 +565,9 @@ def repeated_sampling_comparison(
         rf[frac] = rf.get(frac, 0.0) + float(prob)
 
     reps = np.array([jacobi(x + shift, n) for x in range(big_m)], dtype=np.float64)
-    max_den = math.isqrt(big_m)
     cf: dict = {}
     for i, prob in enumerate(distribution(qft(normalized(reps)))):
-        frac = best_convergent_fraction(i, big_m, max_den)
+        frac = best_convergent_fraction(i, big_m)
         cf[frac] = cf.get(frac, 0.0) + float(prob)
 
     l1 = sum(abs(rf.get(k, 0.0) - cf.get(k, 0.0)) for k in set(rf) | set(cf))

@@ -137,10 +137,22 @@ def _hidden_modulus_params(args):
 
 
 def _field_params(args):
+    _refuse_oversized_field(args.p, args.r, alg.MAX_REGISTER_DIM - 1)  # q + 1 register slots
     fld = _checked(_build_field, args.p, args.r, args.modulus)
     if fld.p == 2:
         raise ConfigError("character experiments need odd characteristic")
     return {"p": fld.p, "r": fld.r, "modulus": ff.format_poly(fld.modulus)}
+
+
+def _refuse_oversized_field(p, r, limit):
+    """Raise DomainTooLarge when GF(p^r) would have more than limit elements.
+
+    Runs before make_field, whose modulus search alone takes seconds at 3^14.
+    Every prime is at least 2, so r beyond the bit length of limit is refused
+    without forming p**r.
+    """
+    if p >= 2 and (r > limit.bit_length() or p**r > limit):
+        raise DomainTooLarge(f"field of size {p}^{r} exceeds {limit}")
 
 
 def _build_field(p, r, modulus=None) -> ff.FieldSpec:
@@ -263,8 +275,11 @@ def _solve_command(command, args) -> int:
     shift = _resolve_shift(variant, params, args.shift, args.seed)
 
     run = partial(_run_trial, command, params, shift, args.seed)
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # The pool starts all its processes at the first submit, so never more
+    # than there are trials or CPUs.
+    workers = min(args.workers, args.trials, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(run, range(args.trials)))
     else:
         records = list(map(run, range(args.trials)))
@@ -362,6 +377,7 @@ def _verify_command(args) -> int:
     if args.suite == "tft":
         if args.p is None or args.r is None:
             raise ConfigError("verify tft requires --p and --r")
+        _refuse_oversized_field(args.p, args.r, alg.TFT_MAX_Q)
         fld = _checked(_build_field, args.p, args.r)
         matrix_dev, unitary_dev = alg.tft_matrix_deviation(fld)
         _write_out(

@@ -17,10 +17,6 @@ class ReducibleModulus(CharshiftError):
     """A supplied modulus polynomial factors over the base field."""
 
 
-class DivisionByZero(CharshiftError):
-    """Division by the zero element of a field."""
-
-
 class EvenCharacteristic(CharshiftError):
     """Character operations are undefined in characteristic two."""
 

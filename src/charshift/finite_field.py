@@ -10,13 +10,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as _cartesian
 
-from .errors import (
-    DivisionByZero,
-    EvenCharacteristic,
-    NotPrime,
-    ReducibleModulus,
-    SingularTraceMatrix,
-)
+from .errors import EvenCharacteristic, NotPrime, ReducibleModulus, SingularTraceMatrix
 from .number_theory import is_prime
 
 FieldElement = tuple[int, ...]
@@ -59,13 +53,6 @@ def _poly_mul(p, a, b):
             for j, bj in enumerate(b):
                 out[i + j] = (out[i + j] + ai * bj) % p
     return _trim(out)
-
-
-def _poly_sub(p, a, b):
-    n = max(len(a), len(b))
-    return _trim(
-        [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p for i in range(n)]
-    )
 
 
 def _poly_divmod(p, a, b):
@@ -177,33 +164,14 @@ def _mul(spec, a, b):
     _, rem = _poly_divmod(spec.p, prod, spec.modulus) if prod else ([], [])
     return tuple(rem) + (0,) * (spec.r - len(rem))
 
-def _inv(spec, b):
-    # Extended Euclid over Z_p[X] against the modulus; maintains t*b = r
-    # modulo the field polynomial, ending with r a nonzero constant.
-    if not any(b):
-        raise DivisionByZero("zero has no inverse")
-    p = spec.p
-    r0, r1 = list(spec.modulus), _trim(list(b))
-    t0, t1 = [], [1]
-    while r1:
-        quot, rem = _poly_divmod(p, r0, r1)
-        r0, r1 = r1, rem
-        t0, t1 = t1, _poly_sub(p, t0, _poly_mul(p, quot, t1))
-    scale = pow(r0[-1], -1, p)
-    inv = [c * scale % p for c in t0]
-    return tuple(inv) + (0,) * (spec.r - len(inv))
 
 
 def ff_arith(spec: FieldSpec, a: FieldElement, b: FieldElement, kind: str) -> FieldElement:
-    """One ring/field operation: kind is "add", "sub", "mul", or "div"."""
+    """One field operation: kind is "add" or "mul"."""
     if kind == "add":
         return tuple((x + y) % spec.p for x, y in zip(a, b))
-    if kind == "sub":
-        return tuple((x - y) % spec.p for x, y in zip(a, b))
     if kind == "mul":
         return _mul(spec, a, b)
-    if kind == "div":
-        return _mul(spec, a, _inv(spec, b))
     raise ValueError(f"unknown operation {kind!r}")
 
 
@@ -297,18 +265,6 @@ def trace_coordinates(spec: FieldSpec, x: FieldElement) -> tuple[int, ...]:
     basis = _basis_traces(spec)
     return tuple(
         sum(c * basis[i + j] for j, c in enumerate(x)) % spec.p for i in range(spec.r)
-    )
-
-
-def trace_coordinates_inverse(spec: FieldSpec, coords) -> FieldElement:
-    """The unique x whose trace coordinates are the given vector."""
-    coords = tuple(coords)
-    if len(coords) != spec.r:
-        raise ValueError(f"need exactly {spec.r} coordinates")
-    inv = _trace_matrix_inverse(spec)
-    return tuple(
-        sum(inv[j][i] * coords[i] for i in range(spec.r)) % spec.p
-        for j in range(spec.r)
     )
 
 

@@ -136,11 +136,6 @@ def euler_phi(moduli: FactoredOddSquarefree) -> int:
     return out
 
 
-def crt_split(x: int, moduli: FactoredOddSquarefree) -> tuple[int, ...]:
-    """Residues of x modulo each prime factor."""
-    return tuple(x % p for p in moduli.factors)
-
-
 def crt_compose(residues, moduli: FactoredOddSquarefree) -> int:
     """The unique x in Z_n with the given residue per prime factor."""
     if len(residues) != len(moduli.factors):
@@ -193,18 +188,18 @@ class GaussSum:
 
 @dataclass(frozen=True)
 class GaussSumSpec:
-    """Which quadratic Gauss sum to evaluate: Z_p, Z_n, or F_{p^r}."""
+    """Which quadratic Gauss sum to evaluate: Z_n or F_{p^r}."""
 
-    kind: str  # "ring-Zp" | "ring-Zn" | "field-Fq"
-    prime: int | None = None
+    kind: str  # "ring-Zn" | "field-Fq"
     ring: FactoredOddSquarefree | None = None
     field: object = None  # FieldSpec; kept untyped to avoid a module cycle
 
     @classmethod
     def for_prime(cls, p: int) -> "GaussSumSpec":
+        """Z_p as the ring Z_n with n = p, where the Jacobi symbol is Legendre's."""
         if p < 3 or p % 2 == 0 or not is_prime(p):
             raise NotOddPrime(f"{p} is not an odd prime")
-        return cls(kind="ring-Zp", prime=p)
+        return cls.for_ring(FactoredOddSquarefree(p, (p,)))
 
     @classmethod
     def for_ring(cls, moduli: FactoredOddSquarefree) -> "GaussSumSpec":
@@ -216,8 +211,6 @@ class GaussSumSpec:
 
     @property
     def domain_size(self) -> int:
-        if self.kind == "ring-Zp":
-            return self.prime
         if self.kind == "ring-Zn":
             return self.ring.n
         return self.field.q
@@ -225,9 +218,6 @@ class GaussSumSpec:
 
 def gauss_sum_closed_form(spec: GaussSumSpec) -> GaussSum:
     """Tabulated exact value of the quadratic Gauss sum."""
-    if spec.kind == "ring-Zp":
-        p = spec.prime
-        return GaussSum(_UNITS[0] if p % 4 == 1 else _UNITS[1], p)
     if spec.kind == "ring-Zn":
         n = spec.ring.n
         return GaussSum(_UNITS[0] if n % 4 == 1 else _UNITS[1], n)
@@ -246,9 +236,6 @@ def gauss_sum_bruteforce(spec: GaussSumSpec) -> complex:
     size = spec.domain_size
     if size > 10**6:
         raise DomainTooLarge(f"domain of size {size} exceeds 10^6")
-    if spec.kind == "ring-Zp":
-        p = spec.prime
-        return sum(legendre(x, p) * cmath.exp(2j * cmath.pi * x / p) for x in range(p))
     if spec.kind == "ring-Zn":
         n = spec.ring.n
         return sum(jacobi(x, n) * cmath.exp(2j * cmath.pi * x / n) for x in range(n))

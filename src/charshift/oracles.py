@@ -169,8 +169,9 @@ def _draw_or_check(value, size, rng, label):
         if rng is None:
             raise ValueError(f"either an explicit {label} or an rng is required")
         return int(rng.integers(size))
-    if not 0 <= value < size:
-        raise ShiftOutOfRange(f"{label} {value} outside [0, {size})")
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or not 0 <= value < size):
+        raise ShiftOutOfRange(f"{label} {value!r} outside [0, {size})")
     return int(value)
 
 

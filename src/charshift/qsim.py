@@ -150,28 +150,15 @@ class RegisterLayout:
 
     @property
     def total(self) -> int:
-        out = 1
-        for d in self.dims:
-            out *= d
-        return out
+        return math.prod(self.dims)
 
     def index(self, coords) -> int:
-        coords = tuple(coords)
-        if len(coords) != len(self.dims):
-            raise ValueError("one coordinate per sub-register required")
-        out = 0
-        for c, d in zip(coords, self.dims):
-            if not 0 <= c < d:
-                raise ValueError(f"coordinate {c} outside register of size {d}")
-            out = out * d + c
-        return out
+        """Flat index of one coordinate per sub-register; ValueError if any is out of range."""
+        return int(np.ravel_multi_index(tuple(coords), self.dims))
 
     def coords(self, index: int) -> tuple[int, ...]:
-        out = []
-        for d in reversed(self.dims):
-            index, c = divmod(index, d)
-            out.append(c)
-        return tuple(reversed(out))
+        """Inverse of index; ValueError outside [0, total)."""
+        return tuple(int(c) for c in np.unravel_index(index, self.dims))
 
 
 def qft_factor(

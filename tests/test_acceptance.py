@@ -32,7 +32,6 @@ from charshift.finite_field import (
     make_field,
     quadratic_character,
     trace_coordinates,
-    trace_coordinates_inverse,
 )
 from charshift.number_theory import (
     GaussSumSpec,
@@ -140,9 +139,7 @@ def test_criterion_4_trace_transform():
             seen = set()
             for i in range(fld.q):
                 x = element_from_index(fld, i)
-                coords = trace_coordinates(fld, x)
-                assert trace_coordinates_inverse(fld, coords) == x
-                seen.add(coords)
+                seen.add(trace_coordinates(fld, x))
             assert len(seen) == fld.q
 
 

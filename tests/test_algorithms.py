@@ -49,7 +49,7 @@ from charshift.oracles import (
     jacobi_unknown_oracle,
     legendre_oracle,
 )
-from charshift.qsim import StateVector, equal_up_to_global_phase
+from charshift.qsim import StateVector, equal_up_to_global_phase, qft, trace_fourier_transform
 
 
 def test_solve_slsp_examples():
@@ -106,10 +106,8 @@ def test_slsp_transform_checkpoint():
     # after the forward transform the y = 0 amplitude vanishes and the state
     # is a global phase times sum_{y != 0} w^(-ys) (y/p) |y> / sqrt(p-1)
     p, s = 13, 5
-    rep = solve_slsp(p, legendre_oracle(p, shift=s), np.random.default_rng(2),
-                     keep_transcript=True)
-    checkpoints = dict(rep.transcript)
-    state = checkpoints["transformed"]
+    _, prepared, _ = prepare_character_state(legendre_oracle(p, shift=s), p)
+    state = qft(prepared)
     assert abs(state.amps[0]) < 1e-9
     expected = np.array(
         [0.0 + 0j]
@@ -174,14 +172,12 @@ def test_sqcp_conditional_distribution_one_hot():
 
 def test_zero_branch_success_keeps_no_transcript():
     # seed 3 measures the zero value on its first attempt and returns the
-    # shift from it; no stage ran, so there is no transcript to keep
+    # shift from it; no stage ran, so no exact distribution is recorded
     gf9 = make_field(3, 2)
     shift = make_element(gf9, (1, 2))
-    rep = solve_sqcp(gf9, field_oracle(gf9, shift=shift), np.random.default_rng(3),
-                     keep_transcript=True)
+    rep = solve_sqcp(gf9, field_oracle(gf9, shift=shift), np.random.default_rng(3))
     assert rep.attempts == 1 and rep.exact_distribution is None
     assert rep.recovered_shift == shift
-    assert rep.transcript is None
 
 
 def test_sqcp_transform_checkpoint_matches_gauss_display():
@@ -189,12 +185,8 @@ def test_sqcp_transform_checkpoint_matches_gauss_display():
     # (G/q) sum_y chi(y) w^(Tr(-s y)) |y>  +  (1/sqrt(q)) |dummy>
     gf9 = make_field(3, 2)
     shift = make_element(gf9, (1, 2))
-    rep = solve_sqcp(gf9, field_oracle(gf9, shift=shift), np.random.default_rng(31),
-                     keep_transcript=True)
-    while rep.transcript is None:  # rerun if the direct branch fired
-        rep = solve_sqcp(gf9, field_oracle(gf9, shift=shift),
-                         np.random.default_rng(32), keep_transcript=True)
-    state = dict(rep.transcript)["transformed"]
+    _, prepared, _ = prepare_character_state(field_oracle(gf9, shift=shift), 10)
+    state = trace_fourier_transform(prepared, gf9)
     g = gauss_sum_closed_form(GaussSumSpec.for_field(gf9)).value
     neg = ff_neg(gf9, shift)
     expected = np.zeros(10, dtype=complex)
@@ -266,6 +258,8 @@ def test_lemma_identity_has_global_unit():
 def test_tft_matrix_deviation_small():
     matrix_dev, unitary_dev = tft_matrix_deviation(make_field(3, 2))
     assert matrix_dev < 1e-12 and unitary_dev < 1e-12
+    with pytest.raises(DomainTooLarge):  # q = 1031 > 2^10, refused before allocating
+        tft_matrix_deviation(make_field(1031, 1))
 
 
 def test_repeated_sampling_exact_multiple():

@@ -189,10 +189,49 @@ def test_determinism_across_commands():
         assert first.stdout == second.stdout, args
 
 
-def test_admission_limit_exits_2(capsys):
+def test_admission_limit_exits_2(capsys, monkeypatch):
     code = cli.main(["sjsp-unknown", "--n", "15", "--M", str(MAX_REGISTER_DIM + 1)])
     assert code == 2
     assert capsys.readouterr().out == ""
+
+    # oversized fields are refused before make_field runs its modulus search
+    def no_field(*args):
+        raise AssertionError("make_field called for an oversized field")
+
+    monkeypatch.setattr(cli.ff, "make_field", no_field)
+    for args in (["sqcp", "--p", "3", "--r", "14"],
+                 ["sqcp", "--p", "3", "--r", str(10**9)],
+                 ["oracle-dump", "--variant", "field", "--p", "3", "--r", "14"],
+                 ["verify", "tft", "--p", "3", "--r", "7"],
+                 ["verify", "tft", "--p", "1031", "--r", "1"]):
+        assert cli.main(args) == 2, args
+        assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("workers,trials,cpus,size", [
+    (5000, 1, 64, None), (5000, 3, 64, 3), (5000, 8, 4, 4), (2, 8, None, None), (3, 8, 2, 2),
+])
+def test_pool_size_is_bounded(capsys, monkeypatch, workers, trials, cpus, size):
+    sizes = []
+
+    class RecordingPool:  # records the pool size and runs the trials in-process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    assert cli.main(["slsp", "--p", "13", "--trials", str(trials),
+                     "--workers", str(workers)]) == 0
+    assert sizes == ([] if size is None else [size])
 
 
 # Per-trial outcomes recorded before the solvers shared one attempt loop:

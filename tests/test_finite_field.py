@@ -1,7 +1,6 @@
 import pytest
 
 from charshift.errors import (
-    DivisionByZero,
     EvenCharacteristic,
     NotPrime,
     ReducibleModulus,
@@ -22,7 +21,6 @@ from charshift.finite_field import (
     quadratic_character,
     trace,
     trace_coordinates,
-    trace_coordinates_inverse,
     zero,
 )
 from helpers import char_by_enumeration
@@ -70,22 +68,8 @@ def test_arith_gf9_examples(gf9):
     assert ff_arith(gf9, x_elem, x_elem, "mul") == (2, 0)  # X^2 = -1 = 2
     a = (1, 2)
     assert ff_arith(gf9, a, zero(gf9), "add") == a
-    assert ff_arith(gf9, one(gf9), x_elem, "div") == (0, 2)  # 1/X = 2X
-    with pytest.raises(DivisionByZero):
-        ff_arith(gf9, one(gf9), zero(gf9), "div")
     with pytest.raises(ValueError):
         ff_arith(gf9, a, a, "pow")
-
-
-@pytest.mark.parametrize("p,r", ODD_FIELD_PARAMS)
-def test_division_inverts_multiplication(p, r):
-    spec = make_field(p, r)
-    q = spec.q
-    step = max(1, q // 37)  # a spread of elements, exhaustive for small q
-    for i in range(1, q, step):
-        a = element_from_index(spec, i)
-        inv = ff_arith(spec, one(spec), a, "div")
-        assert ff_arith(spec, a, inv, "mul") == one(spec)
 
 
 def test_trace_examples(gf9):
@@ -159,7 +143,6 @@ def test_character_multiplicative_exhaustive(p, r):
 def test_trace_coordinates_examples(gf9):
     assert trace_coordinates(gf9, zero(gf9)) == (0, 0)
     assert trace_coordinates(gf9, one(gf9)) == (2, 0)
-    assert trace_coordinates_inverse(gf9, (2, 0)) == one(gf9)
 
 
 @pytest.mark.parametrize("p,r", ODD_FIELD_PARAMS + [(2, 2), (2, 3)])
@@ -168,9 +151,7 @@ def test_trace_coordinates_bijective(p, r):
     seen = set()
     for i in range(spec.q):
         x = element_from_index(spec, i)
-        coords = trace_coordinates(spec, x)
-        assert trace_coordinates_inverse(spec, coords) == x
-        seen.add(coords)
+        seen.add(trace_coordinates(spec, x))
     assert len(seen) == spec.q
 
 
@@ -178,8 +159,8 @@ def test_even_characteristic_arithmetic():
     gf8 = make_field(2, 3)
     a, b = (1, 0, 1), (1, 1, 0)
     assert ff_arith(gf8, a, b, "add") == (0, 1, 1)
-    prod = ff_arith(gf8, a, b, "mul")
-    assert ff_arith(gf8, prod, b, "div") == a
+    # modulus 1 + X^2 + X^3: (1 + X^2)(1 + X) = 1 + X + X^2 + X^3 = X
+    assert ff_arith(gf8, a, b, "mul") == (0, 1, 0)
     assert trace(gf8, one(gf8)) == 1  # 1 + 1 + 1 in characteristic 2
 
 

@@ -52,6 +52,15 @@ def test_construction_errors():
         field_oracle(make_field(2, 2), shift=(0, 0))
     with pytest.raises(ValueError):
         legendre_oracle(7)  # no shift and no rng
+    # non-integer shifts are refused, not truncated
+    for bad in (2.5, True, np.True_, np.float64(3.9), "3"):
+        with pytest.raises(ShiftOutOfRange):
+            legendre_oracle(7, shift=bad)
+        with pytest.raises(ShiftOutOfRange):
+            jacobi_oracle(15, shift=bad)
+        with pytest.raises(ShiftOutOfRange):
+            jacobi_unknown_oracle(15, 256, shift=bad)
+    assert legendre_oracle(7, shift=np.int64(3)).peek_shift() == 3
 
 
 def test_random_shift_draw_is_seeded():

@@ -183,6 +183,9 @@ def test_register_layout():
     assert layout.index((1, 2, 3)) == 1 * 35 + 2 * 7 + 3
     with pytest.raises(ValueError):
         layout.index((3, 0, 0))
+    for bad in (105, -1):  # out of range, not wrapped
+        with pytest.raises(ValueError):
+            layout.coords(bad)
     with pytest.raises(ValueError):
         RegisterLayout(())
 
