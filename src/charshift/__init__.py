@@ -25,6 +25,7 @@ from .algorithms import (
 from .finite_field import (
     FieldElement,
     FieldSpec,
+    character_table,
     element_from_index,
     element_to_index,
     ff_arith,
@@ -72,7 +73,6 @@ from .qsim import (
     apply_phase,
     basis_state,
     distribution,
-    equal_up_to_global_phase,
     measure,
     normalized,
     permute_basis,

@@ -203,14 +203,6 @@ def _sjsp_stage(state: StateVector, moduli: FactoredOddSquarefree) -> StateVecto
     return state
 
 
-@lru_cache(maxsize=None)
-def _char_table(fld: ff.FieldSpec) -> tuple[int, ...]:
-    return tuple(
-        ff.quadratic_character(fld, ff.element_from_index(fld, i))
-        for i in range(fld.q)
-    )
-
-
 def _sqcp_stage(state: StateVector, fld: ff.FieldSpec) -> StateVector:
     """Trace-transform, strip character phases, fold the dummy slot onto |0>."""
     q = fld.q
@@ -218,7 +210,7 @@ def _sqcp_stage(state: StateVector, fld: ff.FieldSpec) -> StateVector:
     # chi(0) = 0 guarantees an empty |0> slot; the dummy amplitude lands there.
     assert abs(state.amps[0]) <= 1e-9, "slot y=0 unexpectedly occupied"
     phases = np.ones(q + 1)
-    phases[1:q] = _char_table(fld)[1:]
+    phases[1:q] = ff.character_table(fld)[1:]
     state = apply_phase(state, phases)
     swap = np.arange(q + 1)
     swap[[0, q]] = q, 0
@@ -505,8 +497,9 @@ def tft_matrix_deviation(fld: ff.FieldSpec) -> tuple[float, float]:
 
     The composed and literal matrices are dense q x q complex128, 16*q^2
     bytes each, and the comparison makes temporaries of the same size: about
-    16 MiB apiece at q = TFT_MAX_Q = 2^10, but 6.2 GB at q = 3^9.  A larger q
-    raises DomainTooLarge before anything is allocated.
+    16 MiB apiece at q = TFT_MAX_Q = 2^10, but 6.2 GB at q = 3^9.  The
+    traces of the q^2 products x*y add about 100 MiB of integer temporaries
+    at 2^10.  A larger q raises DomainTooLarge before anything is allocated.
     """
     q = fld.q
     if q > TFT_MAX_Q:
@@ -514,13 +507,12 @@ def tft_matrix_deviation(fld: ff.FieldSpec) -> tuple[float, float]:
     composed = np.empty((q, q), dtype=np.complex128)
     for x in range(q):
         composed[:, x] = trace_fourier_transform(basis_state(q, x), fld).amps
+    # The literal kernel takes Tr of every product x*y, independently of the
+    # trace coordinates behind the transform.
     omega = np.exp(2j * np.pi / fld.p)
-    kernel = np.empty((q, q), dtype=np.complex128)
-    for x in range(q):
-        ex = ff.element_from_index(fld, x)
-        for y in range(q):
-            ey = ff.element_from_index(fld, y)
-            kernel[y, x] = omega ** ff.trace(fld, ff.ff_arith(fld, ex, ey, "mul"))
+    roots = np.array([omega**k for k in range(fld.p)])
+    digits = ff.digit_table(fld)
+    kernel = roots[ff.trace(fld, ff._mul_digits(fld, digits[None, :], digits[:, None]))]
     kernel /= math.sqrt(q)
     matrix_dev = float(np.max(np.abs(composed - kernel)))
     unitary_dev = float(np.max(np.abs(composed.conj().T @ composed - np.eye(q))))

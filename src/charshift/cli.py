@@ -28,6 +28,7 @@ from . import finite_field as ff
 from . import oracles as orc
 from .errors import CharshiftError, ConfigError, DomainTooLarge
 from .number_theory import (
+    GAUSS_BRUTEFORCE_MAX,
     GaussSumSpec,
     factor_trial,
     gauss_sum_bruteforce,
@@ -351,6 +352,8 @@ def _gauss_command(args) -> int:
         spec = GaussSumSpec.for_ring(_checked(factor_trial, args.zn))
     else:
         p, r = args.fq
+        if p != 2:  # characteristic two exits 3 from the closed form below
+            _refuse_oversized_field(p, r, GAUSS_BRUTEFORCE_MAX)
         spec = GaussSumSpec.for_field(_checked(ff.make_field, p, r))
     closed = gauss_sum_closed_form(spec)
     brute = gauss_sum_bruteforce(spec)

@@ -2,13 +2,17 @@
 
 Elements are tuples of exactly r coefficients in {0, .., p-1}, constant term
 first, always fully reduced, so tuple equality is element equality.  The
-module also provides the trace, the quadratic character, and the invertible
-trace-coordinate map x -> (Tr(x), Tr(xX), .., Tr(xX^(r-1))).
+module also provides the trace and the quadratic character of one element,
+and, for the whole field at once, read-only index-ordered arrays: the digit
+table, the trace coordinates x -> (Tr(x), Tr(xX), .., Tr(xX^(r-1))) and the
+character table, built with one vectorised multiply of digit rows.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as _cartesian
+
+import numpy as np
 
 from .errors import EvenCharacteristic, NotPrime, ReducibleModulus, SingularTraceMatrix
 from .number_theory import is_prime
@@ -109,11 +113,7 @@ def make_field(p: int, r: int, modulus=None) -> FieldSpec:
             raise ValueError(f"modulus must be monic of degree exactly {r}")
         if not is_irreducible(p, modulus):
             raise ReducibleModulus(f"{modulus} factors over Z_{p}")
-    spec = FieldSpec(p=p, r=r, modulus=modulus)
-    # Fail fast on an inconsistent spec: the trace-coordinate matrix of a
-    # genuine field is always invertible.
-    _trace_matrix_inverse(spec)
-    return spec
+    return FieldSpec(p=p, r=r, modulus=modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +165,6 @@ def _mul(spec, a, b):
     return tuple(rem) + (0,) * (spec.r - len(rem))
 
 
-
 def ff_arith(spec: FieldSpec, a: FieldElement, b: FieldElement, kind: str) -> FieldElement:
     """One field operation: kind is "add" or "mul"."""
     if kind == "add":
@@ -192,7 +191,8 @@ def ff_pow(spec: FieldSpec, a: FieldElement, e: int) -> FieldElement:
 
 
 # ---------------------------------------------------------------------------
-# trace, quadratic character, trace coordinates
+# trace, quadratic character, and the whole-field tables (one row or entry
+# per element, in index order)
 
 
 @lru_cache(maxsize=None)
@@ -213,10 +213,10 @@ def _basis_traces(spec: FieldSpec) -> tuple[int, ...]:
     return tuple(out)
 
 
-def trace(spec: FieldSpec, x: FieldElement) -> int:
-    """Tr(x) in {0, .., p-1}, computed linearly from precomputed Tr(X^j)."""
-    basis = _basis_traces(spec)
-    return sum(c * basis[j] for j, c in enumerate(x)) % spec.p
+def trace(spec: FieldSpec, x):
+    """Tr(x) in {0, .., p-1}, linear in the digits of x through precomputed Tr(X^j);
+    an array of digit rows (digits on the last axis) gives one trace per row."""
+    return np.asarray(x) @ np.array(_basis_traces(spec)[: spec.r]) % spec.p
 
 
 def quadratic_character(spec: FieldSpec, x: FieldElement) -> int:
@@ -233,39 +233,63 @@ def quadratic_character(spec: FieldSpec, x: FieldElement) -> int:
     raise AssertionError(f"x^((q-1)/2) = {t} is neither 1 nor -1; bad spec {spec}")
 
 
-def _matinv_modp(p, mat):
-    n = len(mat)
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] % p), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = pow(aug[col][col], -1, p)
-        aug[col] = [v * inv % p for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                c = aug[r][col]
-                aug[r] = [(v - c * w) % p for v, w in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @lru_cache(maxsize=None)
-def _trace_matrix_inverse(spec: FieldSpec) -> tuple[tuple[int, ...], ...]:
-    basis = _basis_traces(spec)
-    mat = [[basis[i + j] for j in range(spec.r)] for i in range(spec.r)]
-    inv = _matinv_modp(spec.p, mat)
-    if inv is None:
-        raise SingularTraceMatrix(f"trace matrix singular for {spec}")
-    return tuple(tuple(row) for row in inv)
+def digit_table(spec: FieldSpec) -> np.ndarray:
+    """The (q, r) int64 array whose row i is element_from_index(spec, i)."""
+    return _frozen(np.arange(spec.q)[:, None] // spec.p ** np.arange(spec.r) % spec.p)
 
 
-def trace_coordinates(spec: FieldSpec, x: FieldElement) -> tuple[int, ...]:
-    """The vector (Tr(x), Tr(xX), .., Tr(xX^(r-1)))."""
+def _mul_digits(spec: FieldSpec, a, b) -> np.ndarray:
+    """Field products of digit rows a and b, broadcast over the leading axes."""
+    p, r = spec.p, spec.r
+    # Every partial sum below stays within 2*r*(p-1)^2 in absolute value.
+    dtype = np.min_scalar_type(-2 * r * p * p)
+    a, b = np.asarray(a, dtype=dtype), np.asarray(b, dtype=dtype)
+    shape = np.broadcast_shapes(a.shape, b.shape)[:-1]
+    acc = np.zeros(shape + (2 * r - 1,), dtype=dtype)
+    for i in range(r):
+        acc[..., i : i + r] += a[..., i : i + 1] * b
+    # X^r = -(m_0 + m_1 X + .. + m_(r-1) X^(r-1)) for the monic modulus m,
+    # so each top coefficient folds down onto the r below it.
+    low = np.array(spec.modulus[:r], dtype=dtype)
+    for k in range(2 * r - 2, r - 1, -1):
+        acc[..., k - r : k] -= acc[..., k : k + 1] % p * low
+    return acc[..., :r] % p
+
+
+@lru_cache(maxsize=None)
+def trace_coordinates(spec: FieldSpec) -> np.ndarray:
+    """The (q, r) array whose row x is (Tr(x), Tr(xX), .., Tr(xX^(r-1))).
+
+    Row x is digits(x) @ H mod p with H[i][j] = Tr(X^(i+j)).  In a field H is
+    invertible, so the rows are distinct; repeated rows raise SingularTraceMatrix.
+    """
     basis = _basis_traces(spec)
-    return tuple(
-        sum(c * basis[i + j] for j, c in enumerate(x)) % spec.p for i in range(spec.r)
-    )
+    hankel = np.array([[basis[i + j] for j in range(spec.r)] for i in range(spec.r)])
+    coords = digit_table(spec) @ hankel % spec.p
+    if np.bincount(coords @ spec.p ** np.arange(spec.r)).max() > 1:
+        raise SingularTraceMatrix(f"trace coordinates repeat for {spec}")
+    return _frozen(coords)
+
+
+@lru_cache(maxsize=None)
+def character_table(spec: FieldSpec) -> np.ndarray:
+    """The quadratic character of every element, int8 in index order.
+
+    +1 on the image of squaring, 0 at zero, -1 elsewhere.  Odd p only.
+    """
+    if spec.p == 2:
+        raise EvenCharacteristic("quadratic character undefined for p = 2")
+    digits = digit_table(spec)
+    table = np.full(spec.q, -1, dtype=np.int8)
+    table[_mul_digits(spec, digits, digits) @ spec.p ** np.arange(spec.r)] = 1
+    table[0] = 0
+    return _frozen(table)
 
 
 # ---------------------------------------------------------------------------

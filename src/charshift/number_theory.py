@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import (
     DomainTooLarge,
     EvenInput,
@@ -24,6 +26,9 @@ from .errors import (
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _UNITS = (1 + 0j, 1j, -1 + 0j, -1j)  # powers of i
+
+# Largest domain gauss_sum_bruteforce sums over.
+GAUSS_BRUTEFORCE_MAX = 10**6
 
 
 def is_prime(n: int) -> bool:
@@ -234,20 +239,16 @@ def gauss_sum_closed_form(spec: GaussSumSpec) -> GaussSum:
 def gauss_sum_bruteforce(spec: GaussSumSpec) -> complex:
     """The literal character-weighted root-of-unity sum, in double precision."""
     size = spec.domain_size
-    if size > 10**6:
-        raise DomainTooLarge(f"domain of size {size} exceeds 10^6")
+    if size > GAUSS_BRUTEFORCE_MAX:
+        raise DomainTooLarge(f"domain of size {size} exceeds {GAUSS_BRUTEFORCE_MAX}")
     if spec.kind == "ring-Zn":
         n = spec.ring.n
         return sum(jacobi(x, n) * cmath.exp(2j * cmath.pi * x / n) for x in range(n))
     if spec.kind == "field-Fq":
-        from .finite_field import element_from_index, quadratic_character, trace
+        from .finite_field import character_table, trace_coordinates
 
         fld = spec.field
-        total = 0j
-        for idx in range(fld.q):
-            x = element_from_index(fld, idx)
-            chi = quadratic_character(fld, x)
-            if chi:
-                total += chi * cmath.exp(2j * cmath.pi * trace(fld, x) / fld.p)
-        return total
+        roots = np.array([cmath.exp(2j * cmath.pi * k / fld.p) for k in range(fld.p)])
+        terms = character_table(fld) * roots[trace_coordinates(fld)[:, 0]]
+        return complex(np.cumsum(terms)[-1])
     raise UnsupportedParameters(f"unknown kind {spec.kind!r}")

@@ -91,8 +91,7 @@ class ShiftOracle:
         """Evaluate the hidden function at one point; counts one classical query."""
         if self.variant == VARIANT_FIELD and isinstance(x, tuple):
             x = ff.element_to_index(self._field, ff.make_element(self._field, x))
-        if (isinstance(x, bool) or not isinstance(x, (int, np.integer))
-                or not 0 <= x < self.domain_size):
+        if not _is_integer(x) or not 0 <= x < self.domain_size:
             raise DomainViolation(f"{x!r} outside domain of size {self.domain_size}")
         self._bump("_query_count")
         return self._point_fn(int(x))
@@ -164,13 +163,16 @@ def discard_result_register(state: StateVector) -> StateVector:
     return StateVector(col0 / np.sqrt(mass))
 
 
+def _is_integer(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
+
+
 def _draw_or_check(value, size, rng, label):
     if value is None:
         if rng is None:
             raise ValueError(f"either an explicit {label} or an rng is required")
         return int(rng.integers(size))
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or not 0 <= value < size):
+    if not _is_integer(value) or not 0 <= value < size:
         raise ShiftOutOfRange(f"{label} {value!r} outside [0, {size})")
     return int(value)
 
@@ -213,8 +215,10 @@ def field_oracle(fld: ff.FieldSpec, shift=None, rng=None) -> ShiftOracle:
         if rng is None:
             raise ValueError("either an explicit shift or an rng is required")
         s = ff.element_from_index(fld, int(rng.integers(fld.q)))
+    elif not all(_is_integer(c) for c in shift):
+        raise ShiftOutOfRange(f"shift {shift!r} has a non-integer coefficient")
     else:
-        s = ff.make_element(fld, shift)
+        s = ff.make_element(fld, (int(c) for c in shift))
 
     def point(x: int) -> int:
         elem = ff.element_from_index(fld, x)

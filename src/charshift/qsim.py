@@ -12,7 +12,6 @@ return fresh states and never mutate their input.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -172,19 +171,6 @@ def qft_factor(
     return StateVector(_fourier(state.amps, layout.dims, (axis,), inverse))
 
 
-@lru_cache(maxsize=None)
-def _trace_permutation(fld: ff.FieldSpec) -> tuple[int, ...]:
-    # x-index -> index whose base-p digits are the trace coordinates of x.
-    out = []
-    for idx in range(fld.q):
-        coords = ff.trace_coordinates(fld, ff.element_from_index(fld, idx))
-        target = 0
-        for c in reversed(coords):
-            target = target * fld.p + c
-        out.append(target)
-    return tuple(out)
-
-
 def trace_fourier_transform(
     state: StateVector, fld: ff.FieldSpec, inverse: bool = False
 ) -> StateVector:
@@ -197,7 +183,8 @@ def trace_fourier_transform(
     q = fld.q
     if state.dim < q:
         raise DimensionMismatch(f"state dimension {state.dim} below field size {q}")
-    sigma = np.asarray(_trace_permutation(fld))
+    # x-index -> the index whose base-p digits are the trace coordinates of x
+    sigma = ff.trace_coordinates(fld) @ fld.p ** np.arange(fld.r)
     dims = (fld.p,) * fld.r
     amps = np.array(state.amps, dtype=np.complex128)
     if not inverse:
@@ -208,16 +195,3 @@ def trace_fourier_transform(
         amps[:q] = _fourier(amps[:q], dims, None, True)[sigma]
     return StateVector(amps)
 
-
-def equal_up_to_global_phase(a: StateVector, b: StateVector, tol: float = 1e-9) -> bool:
-    """True when a = u*b for some unit scalar u, within tol in 2-norm."""
-    if a.dim != b.dim:
-        raise DimensionMismatch("states must share a dimension")
-    weights = np.abs(a.amps) * np.abs(b.amps)
-    k = int(np.argmax(weights))
-    if weights[k] < 1e-200:
-        unit = 1.0
-    else:
-        ratio = a.amps[k] / b.amps[k]
-        unit = ratio / abs(ratio)
-    return bool(np.linalg.norm(a.amps - unit * b.amps) <= tol)

@@ -7,7 +7,7 @@ different route, not against themselves.
 
 import numpy as np
 
-from charshift.errors import NotSquareFree
+from charshift.errors import DimensionMismatch, NotSquareFree
 from charshift.finite_field import element_from_index, element_to_index, ff_arith
 from charshift.number_theory import factor_trial
 
@@ -72,3 +72,17 @@ def char_by_enumeration(spec) -> list[int]:
         e = element_from_index(spec, i)
         squares.add(element_to_index(spec, ff_arith(spec, e, e, "mul")))
     return [0] + [1 if i in squares else -1 for i in range(1, spec.q)]
+
+
+def equal_up_to_global_phase(a, b, tol: float = 1e-9) -> bool:
+    """True when a = u*b for some unit scalar u, within tol in 2-norm."""
+    if a.dim != b.dim:
+        raise DimensionMismatch("states must share a dimension")
+    weights = np.abs(a.amps) * np.abs(b.amps)
+    k = int(np.argmax(weights))
+    if weights[k] < 1e-200:
+        unit = 1.0
+    else:
+        ratio = a.amps[k] / b.amps[k]
+        unit = ratio / abs(ratio)
+    return bool(np.linalg.norm(a.amps - unit * b.amps) <= tol)

@@ -136,10 +136,7 @@ def test_criterion_4_trace_transform():
             assert matrix_dev < TOL and unitary_dev < TOL
         for p, r in FIELD_SIZES:
             fld = make_field(p, r)
-            seen = set()
-            for i in range(fld.q):
-                x = element_from_index(fld, i)
-                seen.add(trace_coordinates(fld, x))
+            seen = {tuple(row) for row in trace_coordinates(fld).tolist()}
             assert len(seen) == fld.q
 
 

@@ -49,7 +49,8 @@ from charshift.oracles import (
     jacobi_unknown_oracle,
     legendre_oracle,
 )
-from charshift.qsim import StateVector, equal_up_to_global_phase, qft, trace_fourier_transform
+from charshift.qsim import StateVector, qft, trace_fourier_transform
+from helpers import equal_up_to_global_phase
 
 
 def test_solve_slsp_examples():

@@ -203,9 +203,14 @@ def test_admission_limit_exits_2(capsys, monkeypatch):
                  ["sqcp", "--p", "3", "--r", str(10**9)],
                  ["oracle-dump", "--variant", "field", "--p", "3", "--r", "14"],
                  ["verify", "tft", "--p", "3", "--r", "7"],
-                 ["verify", "tft", "--p", "1031", "--r", "1"]):
+                 ["verify", "tft", "--p", "1031", "--r", "1"],
+                 ["gauss", "--fq", "3", "14"]):
         assert cli.main(args) == 2, args
         assert capsys.readouterr().out == ""
+    # characteristic two keeps its exit 3 from the closed form
+    monkeypatch.undo()
+    assert cli.main(["gauss", "--fq", "2", "3"]) == 3
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("workers,trials,cpus,size", [

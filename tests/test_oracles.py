@@ -61,6 +61,11 @@ def test_construction_errors():
         with pytest.raises(ShiftOutOfRange):
             jacobi_unknown_oracle(15, 256, shift=bad)
     assert legendre_oracle(7, shift=np.int64(3)).peek_shift() == 3
+    gf9 = make_field(3, 2)
+    for bad in (2.5, True, "1", np.float64(1)):
+        with pytest.raises(ShiftOutOfRange):
+            field_oracle(gf9, shift=(bad, 1))
+    assert field_oracle(gf9, shift=(np.int64(1), 1)).peek_shift() == (1, 1)
 
 
 def test_random_shift_draw_is_seeded():

@@ -11,7 +11,6 @@ from charshift.qsim import (
     apply_phase,
     basis_state,
     distribution,
-    equal_up_to_global_phase,
     measure,
     normalized,
     permute_basis,
@@ -20,7 +19,7 @@ from charshift.qsim import (
     qft_factor,
     trace_fourier_transform,
 )
-from helpers import dft_direct
+from helpers import dft_direct, equal_up_to_global_phase
 
 
 def random_state(dim, seed=0):
