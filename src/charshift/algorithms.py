@@ -14,7 +14,6 @@ import logging
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .errors import (
 from .number_theory import (
     FactoredOddSquarefree,
     GaussSumSpec,
+    _legendre_table,
     convergents,
     crt_compose,
     euler_phi,
@@ -157,16 +157,6 @@ def prepare_character_state(oracle: ShiftOracle, dim: int, rng=None):
 
 # ---------------------------------------------------------------------------
 # Fourier stages
-
-
-@lru_cache(maxsize=None)
-def _legendre_table(p: int) -> np.ndarray:
-    """(y/p) for every y in Z_p, by enumerating the nonzero squares."""
-    table = np.full(p, -1, dtype=np.int8)
-    table[0] = 0
-    table[(np.arange(1, p, dtype=np.int64) ** 2) % p] = 1
-    table.flags.writeable = False
-    return table
 
 
 def _unshifted_symbol(factors) -> np.ndarray:

@@ -249,17 +249,18 @@ def _mul_digits(spec: FieldSpec, a, b) -> np.ndarray:
     p, r = spec.p, spec.r
     # Every partial sum below stays within 2*r*(p-1)^2 in absolute value.
     dtype = np.min_scalar_type(-2 * r * p * p)
-    a, b = np.asarray(a, dtype=dtype), np.asarray(b, dtype=dtype)
-    shape = np.broadcast_shapes(a.shape, b.shape)[:-1]
-    acc = np.zeros(shape + (2 * r - 1,), dtype=dtype)
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=dtype), np.asarray(b, dtype=dtype))
+    # Digit axis first, so that every update below runs over whole planes.
+    a, b = np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0)
+    acc = np.zeros((2 * r - 1,) + a.shape[1:], dtype=dtype)
     for i in range(r):
-        acc[..., i : i + r] += a[..., i : i + 1] * b
+        acc[i : i + r] += a[i] * b
     # X^r = -(m_0 + m_1 X + .. + m_(r-1) X^(r-1)) for the monic modulus m,
     # so each top coefficient folds down onto the r below it.
-    low = np.array(spec.modulus[:r], dtype=dtype)
+    low = np.array(spec.modulus[:r], dtype=dtype).reshape((r,) + (1,) * (a.ndim - 1))
     for k in range(2 * r - 2, r - 1, -1):
-        acc[..., k - r : k] -= acc[..., k : k + 1] % p * low
-    return acc[..., :r] % p
+        acc[k - r : k] -= acc[k] % p * low
+    return np.moveaxis(acc[:r] % p, 0, -1)
 
 
 @lru_cache(maxsize=None)

@@ -1,14 +1,15 @@
 """Integer-side primitives.
 
-Legendre and Jacobi symbols, trial-division factorization of odd square-free
-integers, Euler phi, Chinese remaindering, continued-fraction convergents,
-and quadratic Gauss sums in both closed form and literal brute force.
+Legendre and Jacobi symbols and their whole-ring tables, trial-division factorization
+of odd square-free integers, Euler phi, Chinese remaindering, continued-fraction
+convergents, and quadratic Gauss sums in both closed form and literal brute force.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -87,6 +88,26 @@ def jacobi(x: int, n: int) -> int:
             acc = -acc
         x %= n
     return acc if n == 1 else 0
+
+
+@lru_cache(maxsize=None)
+def _legendre_table(p: int) -> np.ndarray:
+    """(y/p) for every y in Z_p, by enumerating the nonzero squares; read-only."""
+    table = np.full(p, -1, dtype=np.int8)
+    table[0] = 0
+    table[(np.arange(1, p, dtype=np.int64) ** 2) % p] = 1
+    table.flags.writeable = False
+    return table
+
+
+def _jacobi_row(factors, shift: int = 0, size=None) -> np.ndarray:
+    """jacobi(x + shift, n) for x in Z_n, n = prod(factors), from tiled Legendre
+    rows; with a size, that one period repeated over x in range(size)."""
+    n = math.prod(factors)
+    out = np.ones(n, dtype=np.int8)
+    for p in factors:
+        out *= np.resize(np.roll(_legendre_table(p), -(shift % p)), n)
+    return out if size is None else np.resize(out, size)
 
 
 @dataclass(frozen=True)
@@ -243,7 +264,8 @@ def gauss_sum_bruteforce(spec: GaussSumSpec) -> complex:
         raise DomainTooLarge(f"domain of size {size} exceeds {GAUSS_BRUTEFORCE_MAX}")
     if spec.kind == "ring-Zn":
         n = spec.ring.n
-        return sum(jacobi(x, n) * cmath.exp(2j * cmath.pi * x / n) for x in range(n))
+        roots = np.array([cmath.exp(2j * cmath.pi * x / n) for x in range(n)])
+        return complex(np.cumsum(_jacobi_row(spec.ring.factors) * roots)[-1])
     if spec.kind == "field-Fq":
         from .finite_field import character_table, trace_coordinates
 

@@ -1,11 +1,14 @@
 """Query-counting black boxes for the four shifted-character problem variants.
 
 An oracle hides its shift (and, for the unknown-modulus variant, the modulus
-itself) behind a counting surface: query() evaluates one point classically,
-and value_query_superposed() entangles a three-valued result register the way
-a reversible circuit would, so that applying it twice uncomputes the register.
+itself) behind a counting surface: query() evaluates the scalar symbol at one
+point, and value_query_superposed() entangles a three-valued result register
+the way a reversible circuit would, so that applying it twice uncomputes it.
 The coherent counter keeps the name phase_query_count: a value query followed
 by result_sign_phase() is the phase query the algorithms need.
+
+Coherent queries read one whole-domain table from the constructor's builder: for
+Jacobi a product of per-prime Legendre rows over a period, point by point otherwise.
 
 Result register encoding: a function value v in {-1, 0, +1} is stored as the
 digit v mod 3 at the fast end of the index, i.e. composite index = x*3 + digit.
@@ -14,6 +17,7 @@ from a cleared register and clears a computed one.
 """
 
 import threading
+from functools import partial
 
 import numpy as np
 
@@ -25,10 +29,12 @@ from .errors import (
     NotOddPrime,
     ShiftOutOfRange,
 )
-from .number_theory import factor_trial, is_prime, jacobi, legendre
+from .number_theory import _jacobi_row, factor_trial, is_prime, jacobi, legendre
 from .qsim import StateVector
 
 RESULT_DIM = 3
+# _UNCOMPUTE[d, w] = (d - w) mod 3, the digit that digit <- (d - digit) mod 3 sends to w.
+_UNCOMPUTE = (np.arange(RESULT_DIM)[:, None] - np.arange(RESULT_DIM)) % RESULT_DIM
 
 VARIANT_LEGENDRE = "legendre"
 VARIANT_JACOBI = "jacobi"
@@ -44,10 +50,11 @@ def result_zero_mask(dim: int) -> np.ndarray:
 class ShiftOracle:
     """A hidden-shift function with classical and coherent query counters."""
 
-    def __init__(self, variant, domain_size, point_fn, shift, modulus=None, field=None):
+    def __init__(self, variant, domain_size, point_fn, tabulate, shift, modulus=None, field=None):
         self.variant = variant
         self.domain_size = domain_size
         self._point_fn = point_fn
+        self._tabulate = tabulate
         self._shift = shift
         self._modulus = modulus
         self._field = field
@@ -102,11 +109,7 @@ class ShiftOracle:
         # Hidden function tabulated over a register of base_dim slots; slots at
         # or beyond the domain are dummy positions and evaluate to +1.
         if self._table is None:
-            self._table = np.fromiter(
-                (self._point_fn(x) for x in range(self.domain_size)),
-                dtype=np.int8,
-                count=self.domain_size,
-            )
+            self._table = self._tabulate()
         out = np.ones(base_dim, dtype=np.int8)
         upto = min(base_dim, self.domain_size)
         out[:upto] = self._table[:upto]
@@ -126,10 +129,9 @@ class ShiftOracle:
                 raise DomainViolation("entangled state dimension must be a multiple of 3")
             base = state.dim // RESULT_DIM
             digits = self._values(base) % RESULT_DIM
-            out = np.empty_like(state.amps)
-            idx = np.arange(state.dim)
-            xs, vs = idx // RESULT_DIM, idx % RESULT_DIM
-            out[xs * RESULT_DIM + (digits[xs] - vs) % RESULT_DIM] = state.amps
+            out = np.take_along_axis(
+                state.amps.reshape(base, RESULT_DIM), _UNCOMPUTE[digits], axis=1
+            ).ravel()
         else:
             base = state.dim
             digits = self._values(base) % RESULT_DIM
@@ -177,19 +179,25 @@ def _draw_or_check(value, size, rng, label):
     return int(value)
 
 
+def _per_point(point_fn, size):
+    return lambda: np.fromiter((point_fn(x) for x in range(size)), dtype=np.int8, count=size)
+
+
 def legendre_oracle(p: int, shift=None, rng=None) -> ShiftOracle:
     """f(x) = legendre(x + s, p) on Z_p with hidden s."""
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise NotOddPrime(f"{p} is not an odd prime")
     s = _draw_or_check(shift, p, rng, "shift")
-    return ShiftOracle(VARIANT_LEGENDRE, p, lambda x: legendre(x + s, p), s)
+    point = lambda x: legendre(x + s, p)
+    return ShiftOracle(VARIANT_LEGENDRE, p, point, _per_point(point, p), s)
 
 
 def jacobi_oracle(n: int, shift=None, rng=None) -> ShiftOracle:
     """f(x) = jacobi(x + s, n) on Z_n for odd square-free n with hidden s."""
-    factor_trial(n)  # rejects even and non-square-free moduli
+    factors = factor_trial(n).factors  # rejects even and non-square-free moduli
     s = _draw_or_check(shift, n, rng, "shift")
-    return ShiftOracle(VARIANT_JACOBI, n, lambda x: jacobi(x + s, n), s, modulus=n)
+    table = partial(_jacobi_row, factors, s)
+    return ShiftOracle(VARIANT_JACOBI, n, lambda x: jacobi(x + s, n), table, s, modulus=n)
 
 
 def jacobi_unknown_oracle(n: int, big_m: int, shift=None, rng=None) -> ShiftOracle:
@@ -198,13 +206,12 @@ def jacobi_unknown_oracle(n: int, big_m: int, shift=None, rng=None) -> ShiftOrac
     The wrap at the domain edge follows the period: f(x) depends only on
     x + s modulo n, for every x in Z_M.
     """
-    factor_trial(n)
+    factors = factor_trial(n).factors
     if n * n >= big_m:
         raise ModulusTooLargeForM(f"need n^2 < M but {n}^2 >= {big_m}")
     s = _draw_or_check(shift, n, rng, "shift")
-    return ShiftOracle(
-        VARIANT_JACOBI_UNKNOWN, big_m, lambda x: jacobi(x + s, n), s, modulus=n
-    )
+    table = partial(_jacobi_row, factors, s, big_m)
+    return ShiftOracle(VARIANT_JACOBI_UNKNOWN, big_m, lambda x: jacobi(x + s, n), table, s, modulus=n)
 
 
 def field_oracle(fld: ff.FieldSpec, shift=None, rng=None) -> ShiftOracle:
@@ -224,4 +231,4 @@ def field_oracle(fld: ff.FieldSpec, shift=None, rng=None) -> ShiftOracle:
         elem = ff.element_from_index(fld, x)
         return ff.quadratic_character(fld, ff.ff_arith(fld, elem, s, "add"))
 
-    return ShiftOracle(VARIANT_FIELD, fld.q, point, s, field=fld)
+    return ShiftOracle(VARIANT_FIELD, fld.q, point, _per_point(point, fld.q), s, field=fld)

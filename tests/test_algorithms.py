@@ -1,5 +1,6 @@
 import logging
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from charshift.finite_field import (
 )
 from charshift.number_theory import (
     GaussSumSpec,
+    _jacobi_row,
     euler_phi,
     factor_trial,
     gauss_sum_closed_form,
@@ -325,9 +327,23 @@ class _DummyOracle:
 def test_retries_exhausted_on_inconsistent_oracle():
     oracle = legendre_oracle(3, shift=0)
     oracle._point_fn = lambda x: 1  # no zero anywhere, so no shift verifies
-    oracle._table = None
+    oracle._tabulate = lambda: np.ones(3, dtype=np.int8)
     with pytest.raises(RetriesExhausted):
         solve_slsp(3, oracle, np.random.default_rng(11))
+
+
+@pytest.mark.parametrize("n,shift,table_shift", [(15, 4, 7), (105, 0, 52), (1155, 17, 400)])
+def test_jacobi_table_of_another_shift_is_never_returned(n, shift, table_shift):
+    # The coherent table hides table_shift while query() answers for shift, so
+    # the peak candidate always fails the classical check.  Only the shift that
+    # query() answers for could pass it; for composite n the measurement lands
+    # there with small probability, and for these seeds never.
+    moduli = factor_trial(n)
+    oracle = jacobi_oracle(n, shift=shift)
+    oracle._tabulate = partial(_jacobi_row, moduli.factors, table_shift)
+    with pytest.raises(RetriesExhausted):
+        solve_sjsp(moduli, oracle, np.random.default_rng(12))
+    assert oracle.phase_query_count > 0
 
 
 def test_solver_oracle_mismatch_rejected():

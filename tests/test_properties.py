@@ -1,5 +1,6 @@
 """Property tests: the array kernels against their literal definitions."""
 
+import cmath
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charshift.algorithms import _legendre_table, _unshifted_symbol
+from charshift.algorithms import _unshifted_symbol
 from charshift.errors import SingularTraceMatrix
 from charshift.finite_field import (
     FieldSpec,
@@ -21,7 +22,16 @@ from charshift.finite_field import (
     trace,
     trace_coordinates,
 )
-from charshift.number_theory import is_prime, legendre
+from charshift.number_theory import (
+    GaussSumSpec,
+    _legendre_table,
+    factor_trial,
+    gauss_sum_bruteforce,
+    is_prime,
+    jacobi,
+    legendre,
+)
+from charshift.oracles import jacobi_oracle, jacobi_unknown_oracle
 from charshift.qsim import (
     RegisterLayout,
     basis_state,
@@ -41,6 +51,20 @@ checked = settings(deadline=None, max_examples=60)
 def random_state(dim, seed):
     rng = np.random.default_rng(seed)
     return normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+
+
+def odd_squarefree(max_n):
+    """Odd square-free n <= max_n with one to four distinct prime factors."""
+
+    def product(primes):
+        n = 1
+        for p in primes:
+            if n * p <= max_n:
+                n *= p
+        return n
+
+    primes = st.sampled_from([p for p in ODD_PRIMES[:30] if p <= max_n])
+    return st.lists(primes, min_size=1, max_size=4, unique=True).map(product)
 
 
 @checked
@@ -89,6 +113,54 @@ def test_legendre_table_matches_enumeration_and_symbol(p):
 
 
 @checked
+@given(n=odd_squarefree(20000), data=st.data(), pad=st.integers(0, 3))
+def test_jacobi_oracle_table_is_the_scalar_symbol(n, data, pad):
+    s = data.draw(st.integers(0, n - 1))
+    values = jacobi_oracle(n, shift=s)._values(n + pad)
+    assert values[:n].tolist() == [jacobi(x + s, n) for x in range(n)]
+    assert (values[n:] == 1).all()  # slots beyond the domain
+
+
+@checked
+@given(n=odd_squarefree(1500), data=st.data(), pad=st.integers(0, 3))
+def test_jacobi_unknown_oracle_table_is_the_scalar_symbol(n, data, pad):
+    s = data.draw(st.integers(0, n - 1))
+    big_m = n * n + 1 + data.draw(st.integers(0, 2 * n))  # multiples of n and not
+    values = jacobi_unknown_oracle(n, big_m, shift=s)._values(big_m + pad)
+    # jacobi reduces its argument mod n first, so one call per residue gives
+    # jacobi(x + s, n) at every x in Z_M.
+    symbol = np.array([jacobi(y, n) for y in range(n)])
+    assert np.array_equal(values[:big_m], symbol[(np.arange(big_m) + s) % n])
+    assert (values[big_m:] == 1).all()
+
+
+@checked
+@given(n=odd_squarefree(2000), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_entangled_value_query_is_an_involution(n, data, seed):
+    s = data.draw(st.integers(0, n - 1))
+    base = data.draw(st.integers(1, n + 3))
+    oracle = jacobi_oracle(n, shift=s)
+    state = random_state(base * 3, seed)
+    once = oracle.value_query_superposed(state, entangled=True)
+    # digit <- (value - digit) mod 3, written out index by index
+    digits = np.array([jacobi(x + s, n) % 3 if x < n else 1 for x in range(base)])
+    xs, vs = np.divmod(np.arange(base * 3), 3)
+    want = np.empty_like(state.amps)
+    want[xs * 3 + (digits[xs] - vs) % 3] = state.amps
+    assert np.array_equal(once.amps, want)
+    twice = oracle.value_query_superposed(once, entangled=True)
+    assert np.array_equal(twice.amps, state.amps)
+    assert oracle.phase_query_count == 2
+
+
+@checked
+@given(n=odd_squarefree(20000))
+def test_ring_gauss_bruteforce_is_the_sequential_scalar_sum(n):
+    want = sum(jacobi(x, n) * cmath.exp(2j * cmath.pi * x / n) for x in range(n))
+    assert gauss_sum_bruteforce(GaussSumSpec.for_ring(factor_trial(n))) == want
+
+
+@checked
 @given(primes=st.lists(st.sampled_from(ODD_PRIMES[:8]), min_size=1, max_size=3, unique=True))
 def test_unshifted_symbol_is_product_of_legendre_symbols(primes):
     factors = tuple(sorted(primes))
@@ -112,6 +184,11 @@ def test_vectorised_multiply_matches_scalar(shape, data):
     for (x, y), row in zip(pairs, got):
         want = ff_arith(fld, element_from_index(fld, x), element_from_index(fld, y), "mul")
         assert tuple(row) == want
+    # broadcasting: an outer product, and one row against many
+    outer = _mul_digits(fld, digits[xs][:, None], digits[ys][None, :])
+    assert outer.shape == (len(pairs), len(pairs), fld.r)
+    assert np.diagonal(outer).T.tolist() == got
+    assert _mul_digits(fld, digits[xs], digits[ys[0]]).tolist() == outer[:, 0].tolist()
 
 
 @checked
