@@ -233,10 +233,28 @@ def _verify_field(oracle: ShiftOracle, fld: ff.FieldSpec, cand, rng) -> bool:
     return oracle.query(ff.element_to_index(fld, x)) == expected
 
 
-def _verify_jacobi(oracle: ShiftOracle, n: int, cand: int) -> bool:
-    # For a composite modulus no fixed pair of probes separates every wrong
-    # shift, so compare one full period; n is desk-scale.
-    return all(oracle.query(x) == jacobi(x + cand, n) for x in range(n))
+def _verify_jacobi(oracle: ShiftOracle, moduli: FactoredOddSquarefree, cand: int) -> bool:
+    # The factors p_0 < ... < p_(k-1) are checked in order, prime j with k - j
+    # points x built by CRT: -c at p_j, 1 - c at every checked prime (nonzero
+    # once c agrees with the shift there), and one t in [0, k - j) at every
+    # later prime, a different t per point.  If c is wrong at p_j, each later
+    # prime vanishes at one point at most, so some answer is nonzero; taking
+    # only all-zero answers therefore accepts exactly the shift, after
+    # k(k+1)/2 queries.  The argument needs the oracle to be J(x + s, n) for
+    # this very n, and p_(j+1) >= k - j; otherwise (a hidden modulus, where n
+    # is only a guess, or small factors as in 255255) compare one full period.
+    n, factors = moduli.n, moduli.factors
+    k = len(factors)
+    if oracle.variant != VARIANT_JACOBI or any(factors[j + 1] < k - j for j in range(k - 1)):
+        return all(oracle.query(x) == jacobi(x + cand, n) for x in range(n))
+    checked = []
+    for j, p in enumerate(factors):
+        head = checked + [-cand % p]
+        for t in range(k - j):
+            if oracle.query(crt_compose(head + [t] * (k - j - 1), moduli)) != 0:
+                return False
+        checked.append((1 - cand) % p)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -326,13 +344,16 @@ def solve_sjsp(moduli: FactoredOddSquarefree, oracle: ShiftOracle, rng) -> Solve
     information for composite n, so it is simply retried; its acceptance
     probability is phi(n)/n.  After the Chinese-remainder relabeling the
     prime stage runs on every factor register and the negated per-factor
-    outcomes recompose to the shift.
+    outcomes recompose to the shift.  A candidate costs k(k+1)/2 classical
+    queries for a known-modulus oracle over Z_n with k prime factors, and n
+    queries for a hidden-modulus oracle or when small factors rule out the
+    short check (see _verify_jacobi).
     """
     n = moduli.n
     if oracle.variant not in (VARIANT_JACOBI, VARIANT_JACOBI_UNKNOWN):
         raise ValueError("oracle is not a Jacobi-symbol instance")
-    if oracle.domain_size < n:
-        raise ValueError("oracle domain smaller than the modulus")
+    if oracle.domain_size < n or (oracle.variant == VARIANT_JACOBI and oracle.domain_size != n):
+        raise ValueError("oracle domain does not match the modulus")
     layout = RegisterLayout(moduli.factors)
 
     def decode(index):
@@ -344,7 +365,7 @@ def solve_sjsp(moduli: FactoredOddSquarefree, oracle: ShiftOracle, rng) -> Solve
         stage=lambda state: _sjsp_stage(state, moduli),
         decode=decode,
         decode_zero=None,
-        verify=lambda cand: _verify_jacobi(oracle, n, cand),
+        verify=lambda cand: _verify_jacobi(oracle, moduli, cand),
     )
 
 

@@ -35,6 +35,12 @@ def jacobi_row_by_product(n: int) -> np.ndarray:
     return row
 
 
+def jacobi_full_period_verdict(n: int, shift: int, cand: int) -> bool:
+    """Whether J(x + cand, n) equals J(x + shift, n) at every x in Z_n."""
+    row = jacobi_row_by_product(n)
+    return bool(np.array_equal(np.roll(row, -shift), np.roll(row, -cand)))
+
+
 def dft_direct(amps: np.ndarray, sign: int) -> np.ndarray:
     """sum_x amps[x] exp(sign*2*pi*i*(x*y mod N)/N) / sqrt(N), summed directly.
 

@@ -353,6 +353,23 @@ def test_solver_oracle_mismatch_rejected():
         solve_sqcp(make_field(3, 2), legendre_oracle(7, shift=0), np.random.default_rng(0))
 
 
+def test_sjsp_refuses_jacobi_oracle_of_another_modulus():
+    oracle = jacobi_oracle(105, shift=4)
+    with pytest.raises(ValueError):
+        solve_sjsp(factor_trial(15), oracle, np.random.default_rng(0))
+    assert oracle.phase_query_count == 0 and oracle.query_count == 0
+
+
+@pytest.mark.parametrize("shift", [0, 1, 17, 52, 104])
+def test_divisor_of_a_hidden_modulus_never_verifies(shift):
+    # 35 divides the hidden 105.  Probes built by CRT from the factors of 35
+    # accept wrong shifts of this oracle (694 of its 3675 (s, c) pairs), so a
+    # sub-solve on a hidden modulus must compare one full period instead.
+    oracle = jacobi_unknown_oracle(105, 2**14, shift=shift)
+    with pytest.raises(RetriesExhausted):
+        solve_sjsp(factor_trial(35), oracle, np.random.default_rng(shift))
+
+
 def test_admission_limit_refuses_before_any_query():
     assert MAX_REGISTER_DIM >= 1 << 16  # the largest register the benchmark solves
     big_m = MAX_REGISTER_DIM + 1

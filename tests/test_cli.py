@@ -243,14 +243,16 @@ def test_pool_size_is_bounded(capsys, monkeypatch, workers, trials, cpus, size):
 # (recovered_shift, recovered_modulus, first_candidate, attempts,
 #  coherent_queries, classical_queries, correct), then the summary's
 # exact_attempt_probability.  A change in the order of random draws moves them.
+# The sjsp classical counts are those of the CRT-built check, 3 queries for a
+# correct candidate at n = 15.
 PINNED = [
     (["slsp", "--p", "13", "--trials", "6", "--seed", "99"],
      [(12, None, None, 1, 2, 2, True)] * 6, 0.9230769230769231),
     (["sjsp", "--n", "15", "--trials", "8", "--seed", "5"],
-     [(10, None, None, 1, 2, 15, True), (10, None, None, 1, 2, 15, True),
-      (10, None, None, 5, 9, 20, True), (10, None, None, 1, 2, 15, True),
-      (10, None, None, 5, 8, 17, True), (10, None, None, 5, 8, 18, True),
-      (10, None, None, 3, 4, 15, True), (10, None, None, 4, 6, 17, True)],
+     [(10, None, None, 1, 2, 3, True), (10, None, None, 1, 2, 3, True),
+      (10, None, None, 5, 9, 10, True), (10, None, None, 1, 2, 3, True),
+      (10, None, None, 5, 8, 8, True), (10, None, None, 5, 8, 8, True),
+      (10, None, None, 3, 4, 3, True), (10, None, None, 4, 6, 5, True)],
      0.5333333333333338),
     (["sjsp-unknown", "--n", "15", "--M", "16384", "--trials", "2", "--seed", "55"],
      [(14, 15, 15, 1, 7, 55, True), (14, 15, 15, 2, 6, 55, True)], 0.5333333333333334),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charshift.algorithms import _unshifted_symbol
+from charshift.algorithms import _unshifted_symbol, _verify_jacobi
 from charshift.errors import SingularTraceMatrix
 from charshift.finite_field import (
     FieldSpec,
@@ -39,7 +39,7 @@ from charshift.qsim import (
     qft_factor,
     trace_fourier_transform,
 )
-from helpers import char_by_enumeration, legendre_table
+from helpers import char_by_enumeration, jacobi_full_period_verdict, legendre_table
 
 ODD_PRIMES = [p for p in range(3, 2000) if is_prime(p)]
 FIELDS = [(3, 1), (5, 1), (3, 2), (5, 2), (7, 2), (3, 3), (11, 2), (3, 4), (5, 3)]
@@ -53,8 +53,8 @@ def random_state(dim, seed):
     return normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim))
 
 
-def odd_squarefree(max_n):
-    """Odd square-free n <= max_n with one to four distinct prime factors."""
+def odd_squarefree(max_n, max_factors=4):
+    """Odd square-free n <= max_n with one to max_factors distinct prime factors."""
 
     def product(primes):
         n = 1
@@ -64,7 +64,7 @@ def odd_squarefree(max_n):
         return n
 
     primes = st.sampled_from([p for p in ODD_PRIMES[:30] if p <= max_n])
-    return st.lists(primes, min_size=1, max_size=4, unique=True).map(product)
+    return st.lists(primes, min_size=1, max_size=max_factors, unique=True).map(product)
 
 
 @checked
@@ -132,6 +132,40 @@ def test_jacobi_unknown_oracle_table_is_the_scalar_symbol(n, data, pad):
     symbol = np.array([jacobi(y, n) for y in range(n)])
     assert np.array_equal(values[:big_m], symbol[(np.arange(big_m) + s) % n])
     assert (values[big_m:] == 1).all()
+
+
+@checked
+@given(n=odd_squarefree(300000, max_factors=5), data=st.data())
+def test_jacobi_crt_check_accepts_exactly_the_shift(n, data):
+    moduli = factor_trial(n)
+    k = len(moduli.factors)
+    s = data.draw(st.integers(0, n - 1))
+    p = data.draw(st.sampled_from(moduli.factors))
+    cand = data.draw(st.one_of(
+        st.just(s),
+        st.integers(0, n - 1),
+        st.integers(1, p - 1).map(lambda t: (s + t * (n // p)) % n),  # wrong at p only
+    ))
+    oracle = jacobi_oracle(n, shift=s)
+    accepted = _verify_jacobi(oracle, moduli, cand)
+    assert accepted == jacobi_full_period_verdict(n, s, cand) == (cand == s)
+    if accepted:
+        assert oracle.query_count == k * (k + 1) // 2
+    else:
+        assert 1 <= oracle.query_count <= k * (k + 1) // 2
+
+
+def test_jacobi_check_falls_back_to_a_full_period():
+    # 255255 = 3*5*7*11*13*17: the six points for p = 3 need six distinct
+    # residues at p = 5, so the check compares one full period.
+    n, s = 255255, 1234
+    moduli = factor_trial(n)
+    oracle = jacobi_oracle(n, shift=s)
+    assert _verify_jacobi(oracle, moduli, s)
+    assert oracle.query_count == n
+    wrong = (s + n // 3) % n  # agrees with s at every prime but 3
+    assert not _verify_jacobi(oracle, moduli, wrong)
+    assert not jacobi_full_period_verdict(n, s, wrong)
 
 
 @checked
