@@ -351,9 +351,7 @@ def test_solver_oracle_mismatch_rejected():
         solve_slsp(7, jacobi_oracle(15, shift=0), np.random.default_rng(0))
     with pytest.raises(ValueError):
         solve_sqcp(make_field(3, 2), legendre_oracle(7, shift=0), np.random.default_rng(0))
-
-
-def test_sjsp_refuses_jacobi_oracle_of_another_modulus():
+    # a known-modulus oracle over a multiple of n is refused before any query
     oracle = jacobi_oracle(105, shift=4)
     with pytest.raises(ValueError):
         solve_sjsp(factor_trial(15), oracle, np.random.default_rng(0))

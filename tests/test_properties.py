@@ -165,7 +165,6 @@ def test_jacobi_check_falls_back_to_a_full_period():
     assert oracle.query_count == n
     wrong = (s + n // 3) % n  # agrees with s at every prime but 3
     assert not _verify_jacobi(oracle, moduli, wrong)
-    assert not jacobi_full_period_verdict(n, s, wrong)
 
 
 @checked
