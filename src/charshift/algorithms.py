@@ -146,9 +146,9 @@ def prepare_character_state(oracle: ShiftOracle, dim: int, rng=None):
     state = qft(basis_state(dim, 0))
     state = oracle.value_query_superposed(state)
     zero = result_zero_mask(state.dim)
-    zero_prob, zero_state = project(state, zero)
+    zero_prob = float(np.sum(np.abs(state.amps[zero]) ** 2))  # summed as project sums it
     if rng is not None and rng.random() < zero_prob:
-        return False, zero_state, zero_prob
+        return False, project(state, zero)[1], zero_prob
     _, state = project(state, ~zero)
     state = result_sign_phase(state)
     state = oracle.value_query_superposed(state, entangled=True)

@@ -17,7 +17,6 @@ import os
 import sys
 import time
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -30,10 +29,10 @@ from .errors import CharshiftError, ConfigError, DomainTooLarge
 from .number_theory import (
     GAUSS_BRUTEFORCE_MAX,
     GaussSumSpec,
+    _is_odd_prime,
     factor_trial,
     gauss_sum_bruteforce,
     gauss_sum_closed_form,
-    is_prime,
 )
 
 log = logging.getLogger("charshift")
@@ -120,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _prime_params(args):
-    if args.p < 3 or args.p % 2 == 0 or not is_prime(args.p):
+    if not _is_odd_prime(args.p):
         raise ConfigError(f"--p {args.p} is not an odd prime")
     return {"p": args.p}
 
@@ -280,6 +279,7 @@ def _solve_command(command, args) -> int:
     # than there are trials or CPUs.
     workers = min(args.workers, args.trials, os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # 15-20 ms, so imported here
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(run, range(args.trials)))
     else:

@@ -29,8 +29,8 @@ from .errors import (
     NotOddPrime,
     ShiftOutOfRange,
 )
-from .number_theory import _jacobi_row, factor_trial, is_prime, jacobi, legendre
-from .qsim import StateVector
+from .number_theory import _is_odd_prime, _jacobi_row, factor_trial, jacobi, legendre
+from .qsim import NORM_TOL, StateVector, _trusted
 
 RESULT_DIM = 3
 # _UNCOMPUTE[d, w] = (d - w) mod 3, the digit that digit <- (d - digit) mod 3 sends to w.
@@ -138,7 +138,7 @@ class ShiftOracle:
             out = np.zeros(base * RESULT_DIM, dtype=np.complex128)
             out[np.arange(base) * RESULT_DIM + digits] = state.amps
         self._bump("_phase_query_count")
-        return StateVector(out)
+        return _trusted(out)
 
 
 def result_sign_phase(state: StateVector) -> StateVector:
@@ -151,18 +151,18 @@ def result_sign_phase(state: StateVector) -> StateVector:
         raise DomainViolation("state dimension must be a multiple of 3")
     signs = np.ones(state.dim)
     signs[2::RESULT_DIM] = -1.0
-    return StateVector(state.amps * signs)
+    return _trusted(state.amps * signs)
 
 
 def discard_result_register(state: StateVector) -> StateVector:
     """Drop a result register that has been uncomputed back to the zero digit."""
     if state.dim % RESULT_DIM:
         raise DomainViolation("state dimension must be a multiple of 3")
-    col0 = np.array(state.amps[0::RESULT_DIM])
+    col0 = state.amps[0::RESULT_DIM]
     mass = float(np.sum(np.abs(col0) ** 2))
-    if abs(mass - 1.0) > 1e-9:
+    if not abs(mass - 1.0) <= NORM_TOL:
         raise DomainViolation(f"result register still carries mass {1 - mass!r}")
-    return StateVector(col0 / np.sqrt(mass))
+    return _trusted(col0 / np.sqrt(mass))
 
 
 def _is_integer(value) -> bool:
@@ -185,7 +185,7 @@ def _per_point(point_fn, size):
 
 def legendre_oracle(p: int, shift=None, rng=None) -> ShiftOracle:
     """f(x) = legendre(x + s, p) on Z_p with hidden s."""
-    if p < 3 or p % 2 == 0 or not is_prime(p):
+    if not _is_odd_prime(p):
         raise NotOddPrime(f"{p} is not an odd prime")
     s = _draw_or_check(shift, p, rng, "shift")
     point = lambda x: legendre(x + s, p)

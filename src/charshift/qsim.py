@@ -7,7 +7,9 @@ O(N log N) for every N) serves the transform over Z_N, the transform on one
 sub-register of a composite register, and the trace transform over F_q.  The
 forward transform uses the +2*pi*i sign convention.  The phase, permutation
 and projection kernels take one array entry per basis index.  All operations
-return fresh states and never mutate their input.
+return fresh states and never mutate their input.  StateVector and normalized
+copy and norm-check their input, kernels freeze their own fresh output, and
+project, measure and oracles.discard_result_register check the norm they read.
 """
 
 import math
@@ -33,9 +35,7 @@ class StateVector:
         amps = np.array(self.amps, dtype=np.complex128)
         if amps.ndim != 1 or amps.shape[0] < 1:
             raise ValueError("amplitudes must form a nonempty vector")
-        sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(sq - 1.0) > NORM_TOL:
-            raise ValueError(f"state norm^2 = {sq!r} is not 1 within {NORM_TOL}")
+        _check_norm(float(np.sum(np.abs(amps) ** 2)))
         amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
 
@@ -44,13 +44,27 @@ class StateVector:
         return self.amps.shape[0]
 
 
+def _check_norm(sq: float) -> float:
+    if not abs(sq - 1.0) <= NORM_TOL:  # negated so that a NaN norm fails too
+        raise ValueError(f"state norm^2 = {sq!r} is not 1 within {NORM_TOL}")
+    return sq
+
+
+def _trusted(amps: np.ndarray) -> StateVector:
+    # A kernel's own fresh 1-D complex128 output: frozen, neither copied nor re-normed.
+    amps.flags.writeable = False
+    state = object.__new__(StateVector)
+    object.__setattr__(state, "amps", amps)
+    return state
+
+
 def basis_state(dim: int, index: int) -> StateVector:
     """Unit amplitude at one index."""
     if not 0 <= index < dim:
         raise ValueError(f"index {index} outside dimension {dim}")
     amps = np.zeros(dim, dtype=np.complex128)
     amps[index] = 1.0
-    return StateVector(amps)
+    return _trusted(amps)
 
 
 def normalized(amps) -> StateVector:
@@ -72,7 +86,7 @@ def _fourier(amps: np.ndarray, shape, axes, inverse: bool) -> np.ndarray:
 
 def qft(state: StateVector, inverse: bool = False) -> StateVector:
     """Fourier transform over Z_N: amps[y] <- sum_x amps[x] w^(±xy) / sqrt(N)."""
-    return StateVector(_fourier(state.amps, state.dim, None, inverse))
+    return _trusted(_fourier(state.amps, state.dim, None, inverse))
 
 
 def _per_index(state: StateVector, values, dtype) -> np.ndarray:
@@ -96,7 +110,7 @@ def apply_phase(state: StateVector, phases) -> StateVector:
     if np.any(bad):
         idx = int(np.flatnonzero(bad)[0])
         raise NonUnitPhase(f"phase {phases[idx]!r} at occupied index {idx}")
-    return StateVector(np.where(live, state.amps * phases, state.amps))
+    return _trusted(np.where(live, state.amps * phases, state.amps))
 
 
 def permute_basis(state: StateVector, sigma) -> StateVector:
@@ -109,7 +123,7 @@ def permute_basis(state: StateVector, sigma) -> StateVector:
         raise NotBijective("map is not a bijection on the index set")
     out = np.empty(n, dtype=np.complex128)
     out[sigma] = state.amps
-    return StateVector(out)
+    return _trusted(out)
 
 
 def distribution(state: StateVector) -> np.ndarray:
@@ -123,18 +137,17 @@ def project(state: StateVector, mask):
     Returns (prob, state), with state None when the subspace carries no mass.
     """
     mask = _per_index(state, mask, bool)
+    _check_norm(float(np.vdot(state.amps, state.amps).real))
     prob = float(np.sum(np.abs(state.amps[mask]) ** 2))
     if prob < 1e-15:
         return prob, None
-    amps = np.where(mask, state.amps, 0) / math.sqrt(prob)
-    return prob, StateVector(amps)
+    return prob, _trusted(np.where(mask, state.amps, 0) / math.sqrt(prob))
 
 
 def measure(state: StateVector, rng) -> int:
     """Sample an index from |amps|^2."""
     probs = distribution(state)
-    probs = probs / probs.sum()
-    return int(rng.choice(state.dim, p=probs))
+    return int(rng.choice(state.dim, p=probs / _check_norm(float(probs.sum()))))
 
 
 @dataclass(frozen=True)
@@ -168,7 +181,7 @@ def qft_factor(
         raise DimensionMismatch(
             f"layout covers {layout.total} indices, state has {state.dim}"
         )
-    return StateVector(_fourier(state.amps, layout.dims, (axis,), inverse))
+    return _trusted(_fourier(state.amps, layout.dims, (axis,), inverse))
 
 
 def trace_fourier_transform(
@@ -193,5 +206,5 @@ def trace_fourier_transform(
         amps[:q] = _fourier(permuted, dims, None, False)
     else:
         amps[:q] = _fourier(amps[:q], dims, None, True)[sigma]
-    return StateVector(amps)
+    return _trusted(amps)
 

@@ -10,6 +10,12 @@ import numpy as np
 from charshift.errors import DimensionMismatch, NotSquareFree
 from charshift.finite_field import element_from_index, element_to_index, ff_arith
 from charshift.number_theory import factor_trial
+from charshift.oracles import (
+    discard_result_register,
+    result_sign_phase,
+    result_zero_mask,
+)
+from charshift.qsim import basis_state, project, qft
 
 _legendre_tables: dict = {}
 
@@ -92,3 +98,16 @@ def equal_up_to_global_phase(a, b, tol: float = 1e-9) -> bool:
         ratio = a.amps[k] / b.amps[k]
         unit = ratio / abs(ratio)
     return bool(np.linalg.norm(a.amps - unit * b.amps) <= tol)
+
+
+def prepare_character_state_eager(oracle, dim, rng=None):
+    """Reference for algorithms.prepare_character_state that projects onto
+    both result branches on every attempt, whichever one is returned."""
+    state = oracle.value_query_superposed(qft(basis_state(dim, 0)))
+    zero = result_zero_mask(state.dim)
+    zero_prob, zero_state = project(state, zero)
+    if rng is not None and rng.random() < zero_prob:
+        return False, zero_state, zero_prob
+    _, state = project(state, ~zero)
+    state = oracle.value_query_superposed(result_sign_phase(state), entangled=True)
+    return True, discard_result_register(state), zero_prob

@@ -52,7 +52,7 @@ from charshift.oracles import (
     legendre_oracle,
 )
 from charshift.qsim import StateVector, qft, trace_fourier_transform
-from helpers import equal_up_to_global_phase
+from helpers import equal_up_to_global_phase, prepare_character_state_eager
 
 
 def test_solve_slsp_examples():
@@ -151,6 +151,30 @@ def test_sjsp_collapse_rate_statistics():
     p = 8 / 15
     sigma = math.sqrt(400 * p * (1 - p))
     assert abs(accepted - 400 * p) < 3 * sigma
+
+
+@pytest.mark.parametrize("make_oracle,dim", [
+    (partial(legendre_oracle, 3, shift=1), 3),
+    (partial(jacobi_oracle, 15, shift=2), 15),
+    (partial(jacobi_unknown_oracle, 21, 1024, shift=4), 1024),
+])
+def test_lazy_zero_branch_matches_eager_preparation(make_oracle, dim):
+    def bits(prepared):
+        accepted, state, zero_prob = prepared
+        return accepted, state.amps.tobytes(), zero_prob
+
+    branches = set()
+    for seed in range(16):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        oracle, ref_oracle = make_oracle(), make_oracle()
+        got = prepare_character_state(oracle, dim, rng)
+        assert bits(got) == bits(prepare_character_state_eager(ref_oracle, dim, ref_rng))
+        assert oracle.phase_query_count == ref_oracle.phase_query_count
+        assert rng.random() == ref_rng.random()  # the same draws were taken
+        branches.add(got[0])
+    assert branches == {True, False}
+    got = prepare_character_state(make_oracle(), dim)
+    assert bits(got) == bits(prepare_character_state_eager(make_oracle(), dim))
 
 
 def test_solve_sqcp_examples():

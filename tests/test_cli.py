@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -232,11 +233,19 @@ def test_pool_size_is_bounded(capsys, monkeypatch, workers, trials, cpus, size):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     assert cli.main(["slsp", "--p", "13", "--trials", str(trials),
                      "--workers", str(workers)]) == 0
     assert sizes == ([] if size is None else [size])
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # The pool is imported only when a run asks for more than one worker.
+    probe = "import sys, charshift.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 # Per-trial outcomes recorded before the solvers shared one attempt loop:

@@ -31,11 +31,22 @@ from charshift.number_theory import (
     jacobi,
     legendre,
 )
-from charshift.oracles import jacobi_oracle, jacobi_unknown_oracle
+from charshift.oracles import (
+    discard_result_register,
+    jacobi_oracle,
+    jacobi_unknown_oracle,
+    result_sign_phase,
+    result_zero_mask,
+)
 from charshift.qsim import (
     RegisterLayout,
+    StateVector,
+    apply_phase,
     basis_state,
     normalized,
+    permute_basis,
+    project,
+    qft,
     qft_factor,
     trace_fourier_transform,
 )
@@ -102,6 +113,77 @@ def test_trace_transform_roundtrip_keeps_dummy_slots(shape, pad, seed):
     back = trace_fourier_transform(out, fld, inverse=True)
     assert np.array_equal(back.amps[fld.q:], state.amps[fld.q:])
     assert np.max(np.abs(back.amps - state.amps)) < 1e-9
+
+
+def assert_fresh_frozen_unit(out, *sources):
+    """A kernel's output: read-only, unshared with its inputs, of unit norm."""
+    assert out.amps.dtype == np.complex128 and out.amps.ndim == 1
+    assert not out.amps.flags.writeable
+    for source in sources:
+        assert not np.shares_memory(out.amps, source)
+    assert abs(float(np.sum(np.abs(out.amps) ** 2)) - 1.0) <= 1e-9
+
+
+@checked
+@given(dims=st.lists(st.integers(1, 7), min_size=1, max_size=3), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_register_kernels_freeze_fresh_unit_outputs(dims, data, seed):
+    layout = RegisterLayout(tuple(dims))
+    dim = layout.total
+    state = random_state(dim, seed)
+    rng = np.random.default_rng(seed)
+    assert_fresh_frozen_unit(basis_state(dim, data.draw(st.integers(0, dim - 1))))
+    for inverse in (False, True):
+        assert_fresh_frozen_unit(qft(state, inverse=inverse), state.amps)
+        axis = data.draw(st.integers(0, len(dims) - 1))
+        assert_fresh_frozen_unit(qft_factor(state, layout, axis, inverse=inverse), state.amps)
+    phases = np.exp(2j * np.pi * rng.random(dim))
+    assert_fresh_frozen_unit(apply_phase(state, phases), state.amps, phases)
+    assert_fresh_frozen_unit(permute_basis(state, rng.permutation(dim)), state.amps)
+    mask = rng.random(dim) < 0.5
+    _, kept = project(state, mask)
+    if kept is not None:
+        assert_fresh_frozen_unit(kept, state.amps)
+
+
+@checked
+@given(shape=st.sampled_from(FIELDS), pad=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+def test_trace_transform_freezes_fresh_unit_outputs(shape, pad, seed):
+    fld = make_field(*shape)
+    state = random_state(fld.q + pad, seed)
+    for inverse in (False, True):
+        assert_fresh_frozen_unit(trace_fourier_transform(state, fld, inverse), state.amps)
+
+
+@checked
+@given(n=odd_squarefree(500), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_result_register_kernels_freeze_fresh_unit_outputs(n, data, seed):
+    oracle = jacobi_oracle(n, shift=data.draw(st.integers(0, n - 1)))
+    state = random_state(data.draw(st.integers(n, n + 3)), seed)  # a unit is in range
+    computed = oracle.value_query_superposed(state)
+    assert_fresh_frozen_unit(computed, state.amps)
+    _, branch = project(computed, ~result_zero_mask(computed.dim))
+    signed = result_sign_phase(branch)
+    assert_fresh_frozen_unit(signed, branch.amps)
+    cleared = oracle.value_query_superposed(signed, entangled=True)
+    assert_fresh_frozen_unit(cleared, signed.amps)
+    assert_fresh_frozen_unit(discard_result_register(cleared), cleared.amps)
+
+
+@checked
+@given(dim=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(0.5, 2.0).filter(lambda c: abs(c * c - 1) > 1e-6))
+def test_public_constructors_copy_and_check(dim, seed, scale):
+    source = np.array(random_state(dim, seed).amps)
+    kept = source.copy()
+    for state in (StateVector(source), normalized(source)):
+        assert not state.amps.flags.writeable
+        assert not np.shares_memory(state.amps, source)
+    state = StateVector(source)
+    source[:] = 0.5
+    assert np.array_equal(state.amps, kept)
+    with pytest.raises(ValueError):
+        StateVector(kept * scale)
 
 
 @checked

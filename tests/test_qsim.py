@@ -18,6 +18,7 @@ from charshift.qsim import (
     qft,
     qft_factor,
     trace_fourier_transform,
+    _trusted,
 )
 from helpers import dft_direct, equal_up_to_global_phase
 
@@ -42,6 +43,19 @@ def test_state_norm_enforced():
     with pytest.raises(ValueError):
         normalized(np.zeros(4))
     assert abs(distribution(random_state(50)).sum() - 1) < 1e-9
+
+
+def test_norm_checked_where_probabilities_are_read():
+    # A kernel's output is trusted, not re-normed; project and measure are
+    # where a wrong norm would turn into a wrong probability.
+    for amps in ([1.0, 1.0], [0.5, 0.5], [np.nan, 1.0]):
+        bad = _trusted(np.array(amps, dtype=np.complex128))
+        with pytest.raises(ValueError):
+            project(bad, np.array([True, False]))
+        with pytest.raises(ValueError):
+            measure(bad, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        StateVector(np.array([np.nan, 1.0]))
 
 
 def test_qft_uniform_from_origin():
