@@ -29,10 +29,10 @@ from .errors import CharshiftError, ConfigError, DomainTooLarge
 from .number_theory import (
     GAUSS_BRUTEFORCE_MAX,
     GaussSumSpec,
-    _is_odd_prime,
     factor_trial,
     gauss_sum_bruteforce,
     gauss_sum_closed_form,
+    is_prime,
 )
 
 log = logging.getLogger("charshift")
@@ -119,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _prime_params(args):
-    if not _is_odd_prime(args.p):
+    if args.p < 3 or args.p % 2 == 0 or not is_prime(args.p):
         raise ConfigError(f"--p {args.p} is not an odd prime")
     return {"p": args.p}
 

@@ -58,14 +58,9 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=64)  # a Legendre oracle's table calls legendre p times with one p
-def _is_odd_prime(p: int) -> bool:
-    return p >= 3 and p % 2 == 1 and is_prime(p)
-
-
 def legendre(x: int, p: int) -> int:
     """Quadratic residue symbol of x modulo an odd prime p, in {-1, 0, +1}."""
-    if not _is_odd_prime(p):
+    if p < 3 or p % 2 == 0 or not is_prime(p):
         raise NotOddPrime(f"{p} is not an odd prime")
     x %= p
     if x == 0:
@@ -228,7 +223,7 @@ class GaussSumSpec:
     @classmethod
     def for_prime(cls, p: int) -> "GaussSumSpec":
         """Z_p as the ring Z_n with n = p, where the Jacobi symbol is Legendre's."""
-        if not _is_odd_prime(p):
+        if p < 3 or p % 2 == 0 or not is_prime(p):
             raise NotOddPrime(f"{p} is not an odd prime")
         return cls.for_ring(FactoredOddSquarefree(p, (p,)))
 

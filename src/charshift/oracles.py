@@ -29,7 +29,7 @@ from .errors import (
     NotOddPrime,
     ShiftOutOfRange,
 )
-from .number_theory import _is_odd_prime, _jacobi_row, factor_trial, jacobi, legendre
+from .number_theory import _jacobi_row, factor_trial, is_prime, jacobi, legendre
 from .qsim import NORM_TOL, StateVector, _trusted
 
 RESULT_DIM = 3
@@ -185,7 +185,7 @@ def _per_point(point_fn, size):
 
 def legendre_oracle(p: int, shift=None, rng=None) -> ShiftOracle:
     """f(x) = legendre(x + s, p) on Z_p with hidden s."""
-    if not _is_odd_prime(p):
+    if p < 3 or p % 2 == 0 or not is_prime(p):
         raise NotOddPrime(f"{p} is not an odd prime")
     s = _draw_or_check(shift, p, rng, "shift")
     point = lambda x: legendre(x + s, p)

@@ -137,7 +137,8 @@ def project(state: StateVector, mask):
     Returns (prob, state), with state None when the subspace carries no mass.
     """
     mask = _per_index(state, mask, bool)
-    _check_norm(float(np.vdot(state.amps, state.amps).real))
+    re_im = state.amps.view(np.float64)  # einsum, not np.vdot: BLAS threads spin on after it
+    _check_norm(float(np.einsum("i,i->", re_im, re_im)))
     prob = float(np.sum(np.abs(state.amps[mask]) ** 2))
     if prob < 1e-15:
         return prob, None

@@ -54,7 +54,7 @@ def test_legendre_matches_square_enumeration(p):
 
 @pytest.mark.parametrize("p", [2, 9, 15, 1, 561])
 def test_legendre_rejects_non_odd_primes(p):
-    # twice, so the second call reads the cached primality verdict
+    # twice, so a repeated call on the same p is refused as well
     for _ in range(2):
         with pytest.raises(NotOddPrime):
             legendre(3, p)
