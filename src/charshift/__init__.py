@@ -64,7 +64,6 @@ from .oracles import (
     jacobi_oracle,
     jacobi_unknown_oracle,
     legendre_oracle,
-    result_zero_mask,
     result_sign_phase,
 )
 from .qsim import (

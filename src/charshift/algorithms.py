@@ -29,6 +29,7 @@ from .errors import (
 from .number_theory import (
     FactoredOddSquarefree,
     GaussSumSpec,
+    _jacobi_row,
     _legendre_table,
     convergents,
     crt_compose,
@@ -47,7 +48,6 @@ from .oracles import (
     ShiftOracle,
     discard_result_register,
     result_sign_phase,
-    result_zero_mask,
 )
 from .qsim import (
     RegisterLayout,
@@ -91,7 +91,6 @@ class SolveReport:
     exact_success_probability its value at the correct outcome.
     """
 
-    variant: str
     recovered_shift: object
     recovered_modulus: int | None
     attempts: int
@@ -107,9 +106,6 @@ class SolveReport:
 class DistributionComparison:
     """Reduced-fraction vs continued-fraction sampling distributions."""
 
-    n: int
-    big_m: int
-    shift: int
     rf_distribution: dict
     cf_distribution: dict
     l1_distance: float
@@ -145,7 +141,8 @@ def prepare_character_state(oracle: ShiftOracle, dim: int, rng=None):
         raise DomainTooLarge(f"register of dimension {dim} exceeds {MAX_REGISTER_DIM}")
     state = qft(basis_state(dim, 0))
     state = oracle.value_query_superposed(state)
-    zero = result_zero_mask(state.dim)
+    zero = np.zeros(state.dim, dtype=bool)
+    zero[::RESULT_DIM] = True
     zero_prob = float(np.sum(np.abs(state.amps[zero]) ** 2))  # summed as project sums it
     if rng is not None and rng.random() < zero_prob:
         return False, project(state, zero)[1], zero_prob
@@ -298,7 +295,6 @@ def _las_vegas(oracle, dim, rng, stage, decode, decode_zero, verify):
                     dist = distribution(final)
                     prob = float(dist[index])
                 return SolveReport(
-                    variant=oracle.variant,
                     recovered_shift=cand,
                     recovered_modulus=None,
                     attempts=attempt,
@@ -535,11 +531,11 @@ def verify_jacobi_qft_lemma(moduli: FactoredOddSquarefree, shift: int) -> float:
     its closed form i^((n-1)^2/4) * sum w_n^(-sy) (y/n) |y> / sqrt(phi(n))."""
     n = moduli.n
     phi = euler_phi(moduli)
-    vals = np.array([jacobi(x + shift, n) for x in range(n)], dtype=np.float64)
+    vals = _jacobi_row(moduli.factors, shift).astype(np.float64)
     after = qft(StateVector(vals / math.sqrt(phi)))
     unit = 1j ** (((n - 1) ** 2 // 4) % 4)
     ys = np.arange(n, dtype=np.int64)
-    symbols = np.array([jacobi(y, n) for y in range(n)], dtype=np.float64)
+    symbols = _jacobi_row(moduli.factors).astype(np.float64)
     rhs = unit * np.exp(-2j * np.pi / n * ((shift * ys) % n)) * symbols / math.sqrt(phi)
     return float(np.max(np.abs(after.amps - rhs)))
 
@@ -561,13 +557,13 @@ def repeated_sampling_comparison(
         raise ModulusTooLargeForM(f"need n^2 < M but {n}^2 >= {big_m}")
     phi = euler_phi(moduli)
 
-    vals = np.array([jacobi(x + shift, n) for x in range(n)], dtype=np.float64)
+    vals = _jacobi_row(moduli.factors, shift).astype(np.float64)
     rf: dict = {}
     for y, prob in enumerate(distribution(qft(StateVector(vals / math.sqrt(phi))))):
         frac = Fraction(y, n)
         rf[frac] = rf.get(frac, 0.0) + float(prob)
 
-    reps = np.array([jacobi(x + shift, n) for x in range(big_m)], dtype=np.float64)
+    reps = _jacobi_row(moduli.factors, shift, big_m).astype(np.float64)
     cf: dict = {}
     for i, prob in enumerate(distribution(qft(normalized(reps)))):
         frac = best_convergent_fraction(i, big_m)
@@ -575,9 +571,6 @@ def repeated_sampling_comparison(
 
     l1 = sum(abs(rf.get(k, 0.0) - cf.get(k, 0.0)) for k in set(rf) | set(cf))
     return DistributionComparison(
-        n=n,
-        big_m=big_m,
-        shift=shift,
         rf_distribution=rf,
         cf_distribution=cf,
         l1_distance=float(l1),

@@ -176,9 +176,11 @@ def _integer_shifts(size):
 
 
 def _field_shifts(params):
-    """Shift domain F_q, in the same form as _integer_shifts."""
+    """Shift domain F_q, in the same form as _integer_shifts; an explicit shift
+    is checked as field_oracle checks it."""
     fld = _build_field(**params)
-    return fld.q, partial(ff.element_from_index, fld), partial(ff.parse_element, fld)
+    parse = lambda text: orc._field_shift(fld, ff.parse_poly(text))
+    return fld.q, partial(ff.element_from_index, fld), parse
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,6 @@ class SingularTraceMatrix(CharshiftError):
     """The trace-coordinate matrix is singular; the field spec is invalid."""
 
 
-class EvenModulus(CharshiftError):
-    """A modulus that must be odd is even."""
-
-
 class EvenInput(CharshiftError):
     """An integer that must be odd is even."""
 

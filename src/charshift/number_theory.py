@@ -16,7 +16,6 @@ import numpy as np
 from .errors import (
     DomainTooLarge,
     EvenInput,
-    EvenModulus,
     NotOddPrime,
     NotSquareFree,
     UnsupportedParameters,
@@ -75,7 +74,7 @@ def jacobi(x: int, n: int) -> int:
     revealing the factorization it hides.
     """
     if n < 1 or n % 2 == 0:
-        raise EvenModulus(f"modulus {n} must be odd and positive")
+        raise EvenInput(f"modulus {n} must be odd and positive")
     x %= n
     acc = 1
     while x:
@@ -214,9 +213,8 @@ class GaussSum:
 
 @dataclass(frozen=True)
 class GaussSumSpec:
-    """Which quadratic Gauss sum to evaluate: Z_n or F_{p^r}."""
+    """Which quadratic Gauss sum to evaluate: over Z_n when ring is set, else F_{p^r}."""
 
-    kind: str  # "ring-Zn" | "field-Fq"
     ring: FactoredOddSquarefree | None = None
     field: object = None  # FieldSpec; kept untyped to avoid a module cycle
 
@@ -229,32 +227,28 @@ class GaussSumSpec:
 
     @classmethod
     def for_ring(cls, moduli: FactoredOddSquarefree) -> "GaussSumSpec":
-        return cls(kind="ring-Zn", ring=moduli)
+        return cls(ring=moduli)
 
     @classmethod
     def for_field(cls, field) -> "GaussSumSpec":
-        return cls(kind="field-Fq", field=field)
+        return cls(field=field)
 
     @property
     def domain_size(self) -> int:
-        if self.kind == "ring-Zn":
-            return self.ring.n
-        return self.field.q
+        return self.field.q if self.ring is None else self.ring.n
 
 
 def gauss_sum_closed_form(spec: GaussSumSpec) -> GaussSum:
     """Tabulated exact value of the quadratic Gauss sum."""
-    if spec.kind == "ring-Zn":
+    if spec.ring is not None:
         n = spec.ring.n
         return GaussSum(_UNITS[0] if n % 4 == 1 else _UNITS[1], n)
-    if spec.kind == "field-Fq":
-        p, r = spec.field.p, spec.field.r
-        if p == 2:
-            raise UnsupportedParameters("no closed form in characteristic two")
-        # (-1)^(r-1) * i^(r*(p-1)^2/4), folded into a single power of i.
-        exponent = (2 * (r - 1) + r * ((p - 1) ** 2 // 4)) % 4
-        return GaussSum(_UNITS[exponent], p**r)
-    raise UnsupportedParameters(f"unknown kind {spec.kind!r}")
+    p, r = spec.field.p, spec.field.r
+    if p == 2:
+        raise UnsupportedParameters("no closed form in characteristic two")
+    # (-1)^(r-1) * i^(r*(p-1)^2/4), folded into a single power of i.
+    exponent = (2 * (r - 1) + r * ((p - 1) ** 2 // 4)) % 4
+    return GaussSum(_UNITS[exponent], p**r)
 
 
 def gauss_sum_bruteforce(spec: GaussSumSpec) -> complex:
@@ -262,15 +256,13 @@ def gauss_sum_bruteforce(spec: GaussSumSpec) -> complex:
     size = spec.domain_size
     if size > GAUSS_BRUTEFORCE_MAX:
         raise DomainTooLarge(f"domain of size {size} exceeds {GAUSS_BRUTEFORCE_MAX}")
-    if spec.kind == "ring-Zn":
+    if spec.ring is not None:
         n = spec.ring.n
         roots = np.array([cmath.exp(2j * cmath.pi * x / n) for x in range(n)])
         return complex(np.cumsum(_jacobi_row(spec.ring.factors) * roots)[-1])
-    if spec.kind == "field-Fq":
-        from .finite_field import character_table, trace_coordinates
+    from .finite_field import character_table, trace_coordinates
 
-        fld = spec.field
-        roots = np.array([cmath.exp(2j * cmath.pi * k / fld.p) for k in range(fld.p)])
-        terms = character_table(fld) * roots[trace_coordinates(fld)[:, 0]]
-        return complex(np.cumsum(terms)[-1])
-    raise UnsupportedParameters(f"unknown kind {spec.kind!r}")
+    fld = spec.field
+    roots = np.array([cmath.exp(2j * cmath.pi * k / fld.p) for k in range(fld.p)])
+    terms = character_table(fld) * roots[trace_coordinates(fld)[:, 0]]
+    return complex(np.cumsum(terms)[-1])

@@ -42,21 +42,14 @@ VARIANT_JACOBI_UNKNOWN = "jacobi-unknown"
 VARIANT_FIELD = "field"
 
 
-def result_zero_mask(dim: int) -> np.ndarray:
-    """Mask of the composite indices whose computed function value is 0."""
-    return np.arange(dim) % RESULT_DIM == 0
-
-
 class ShiftOracle:
     """A hidden-shift function with classical and coherent query counters."""
 
-    def __init__(self, variant, domain_size, point_fn, tabulate, shift, modulus=None, field=None):
+    def __init__(self, variant, domain_size, point_fn, tabulate, field=None):
         self.variant = variant
         self.domain_size = domain_size
         self._point_fn = point_fn
         self._tabulate = tabulate
-        self._shift = shift
-        self._modulus = modulus
         self._field = field
         self._table = None
         self._lock = threading.Lock()
@@ -82,22 +75,10 @@ class ShiftOracle:
         with self._lock:
             setattr(self, counter, getattr(self, counter) + 1)
 
-    # -- privileged accessors, for tests and verification reports only ------
-
-    def peek_shift(self):
-        """Test-only: the hidden shift."""
-        return self._shift
-
-    def peek_modulus(self):
-        """Test-only: the hidden modulus of the unknown-modulus variant."""
-        return self._modulus
-
     # -- classical surface ---------------------------------------------------
 
     def query(self, x) -> int:
         """Evaluate the hidden function at one point; counts one classical query."""
-        if self.variant == VARIANT_FIELD and isinstance(x, tuple):
-            x = ff.element_to_index(self._field, ff.make_element(self._field, x))
         if not _is_integer(x) or not 0 <= x < self.domain_size:
             raise DomainViolation(f"{x!r} outside domain of size {self.domain_size}")
         self._bump("_query_count")
@@ -179,6 +160,14 @@ def _draw_or_check(value, size, rng, label):
     return int(value)
 
 
+def _field_shift(fld: ff.FieldSpec, shift) -> ff.FieldElement:
+    """shift as r integer coefficients in [0, p); anything else is refused."""
+    coeffs = tuple(shift) if isinstance(shift, (tuple, list)) else ()
+    if len(coeffs) != fld.r or not all(_is_integer(c) and 0 <= c < fld.p for c in coeffs):
+        raise ShiftOutOfRange(f"shift {shift!r} is not {fld.r} integers in [0, {fld.p})")
+    return tuple(int(c) for c in coeffs)
+
+
 def _per_point(point_fn, size):
     return lambda: np.fromiter((point_fn(x) for x in range(size)), dtype=np.int8, count=size)
 
@@ -189,7 +178,7 @@ def legendre_oracle(p: int, shift=None, rng=None) -> ShiftOracle:
         raise NotOddPrime(f"{p} is not an odd prime")
     s = _draw_or_check(shift, p, rng, "shift")
     point = lambda x: legendre(x + s, p)
-    return ShiftOracle(VARIANT_LEGENDRE, p, point, _per_point(point, p), s)
+    return ShiftOracle(VARIANT_LEGENDRE, p, point, _per_point(point, p))
 
 
 def jacobi_oracle(n: int, shift=None, rng=None) -> ShiftOracle:
@@ -197,7 +186,7 @@ def jacobi_oracle(n: int, shift=None, rng=None) -> ShiftOracle:
     factors = factor_trial(n).factors  # rejects even and non-square-free moduli
     s = _draw_or_check(shift, n, rng, "shift")
     table = partial(_jacobi_row, factors, s)
-    return ShiftOracle(VARIANT_JACOBI, n, lambda x: jacobi(x + s, n), table, s, modulus=n)
+    return ShiftOracle(VARIANT_JACOBI, n, lambda x: jacobi(x + s, n), table)
 
 
 def jacobi_unknown_oracle(n: int, big_m: int, shift=None, rng=None) -> ShiftOracle:
@@ -211,7 +200,7 @@ def jacobi_unknown_oracle(n: int, big_m: int, shift=None, rng=None) -> ShiftOrac
         raise ModulusTooLargeForM(f"need n^2 < M but {n}^2 >= {big_m}")
     s = _draw_or_check(shift, n, rng, "shift")
     table = partial(_jacobi_row, factors, s, big_m)
-    return ShiftOracle(VARIANT_JACOBI_UNKNOWN, big_m, lambda x: jacobi(x + s, n), table, s, modulus=n)
+    return ShiftOracle(VARIANT_JACOBI_UNKNOWN, big_m, lambda x: jacobi(x + s, n), table)
 
 
 def field_oracle(fld: ff.FieldSpec, shift=None, rng=None) -> ShiftOracle:
@@ -222,13 +211,11 @@ def field_oracle(fld: ff.FieldSpec, shift=None, rng=None) -> ShiftOracle:
         if rng is None:
             raise ValueError("either an explicit shift or an rng is required")
         s = ff.element_from_index(fld, int(rng.integers(fld.q)))
-    elif not all(_is_integer(c) for c in shift):
-        raise ShiftOutOfRange(f"shift {shift!r} has a non-integer coefficient")
     else:
-        s = ff.make_element(fld, (int(c) for c in shift))
+        s = _field_shift(fld, shift)
 
     def point(x: int) -> int:
         elem = ff.element_from_index(fld, x)
         return ff.quadratic_character(fld, ff.ff_arith(fld, elem, s, "add"))
 
-    return ShiftOracle(VARIANT_FIELD, fld.q, point, _per_point(point, fld.q), s, field=fld)
+    return ShiftOracle(VARIANT_FIELD, fld.q, point, _per_point(point, fld.q), field=fld)

@@ -10,11 +10,7 @@ import numpy as np
 from charshift.errors import DimensionMismatch, NotSquareFree
 from charshift.finite_field import element_from_index, element_to_index, ff_arith
 from charshift.number_theory import factor_trial
-from charshift.oracles import (
-    discard_result_register,
-    result_sign_phase,
-    result_zero_mask,
-)
+from charshift.oracles import RESULT_DIM, discard_result_register, result_sign_phase
 from charshift.qsim import basis_state, project, qft
 
 _legendre_tables: dict = {}
@@ -98,6 +94,11 @@ def equal_up_to_global_phase(a, b, tol: float = 1e-9) -> bool:
         ratio = a.amps[k] / b.amps[k]
         unit = ratio / abs(ratio)
     return bool(np.linalg.norm(a.amps - unit * b.amps) <= tol)
+
+
+def result_zero_mask(dim: int) -> np.ndarray:
+    """Mask of the composite indices whose computed function value is 0."""
+    return np.arange(dim) % RESULT_DIM == 0
 
 
 def prepare_character_state_eager(oracle, dim, rng=None):

@@ -77,6 +77,8 @@ def test_config_errors_exit_2():
     assert run_cli("slsp", "--p", "7", "--shift", "x", check=False).returncode == 2
     assert run_cli("sqcp", "--p", "3", "--r", "2", "--modulus", "2,0,1",
                    check=False).returncode == 2
+    refused = run_cli("sqcp", "--p", "3", "--r", "2", "--shift", "5,1", check=False)
+    assert refused.returncode == 2 and refused.stdout == ""
 
 
 def test_random_shift_replays_with_seed():

@@ -8,7 +8,6 @@ import pytest
 from charshift.errors import (
     DomainTooLarge,
     EvenInput,
-    EvenModulus,
     NotOddPrime,
     NotSquareFree,
     UnsupportedParameters,
@@ -67,9 +66,9 @@ def test_jacobi_examples():
 
 
 def test_jacobi_rejects_even_modulus():
-    with pytest.raises(EvenModulus):
+    with pytest.raises(EvenInput):
         jacobi(3, 10)
-    with pytest.raises(EvenModulus):
+    with pytest.raises(EvenInput):
         jacobi(3, 0)
 
 

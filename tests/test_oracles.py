@@ -11,7 +11,7 @@ from charshift.errors import (
     NotSquareFree,
     ShiftOutOfRange,
 )
-from charshift.finite_field import make_field
+from charshift.finite_field import element_to_index, make_field
 from charshift.number_theory import jacobi, legendre
 from charshift.oracles import (
     discard_result_register,
@@ -19,10 +19,10 @@ from charshift.oracles import (
     jacobi_oracle,
     jacobi_unknown_oracle,
     legendre_oracle,
-    result_zero_mask,
     result_sign_phase,
 )
 from charshift.qsim import basis_state, distribution, project, qft
+from helpers import result_zero_mask
 
 
 def test_legendre_oracle_examples():
@@ -60,18 +60,23 @@ def test_construction_errors():
             jacobi_oracle(15, shift=bad)
         with pytest.raises(ShiftOutOfRange):
             jacobi_unknown_oracle(15, 256, shift=bad)
-    assert legendre_oracle(7, shift=np.int64(3)).peek_shift() == 3
+    assert legendre_oracle(7, shift=np.int64(3)).query(4) == 0  # 7 divides 4 + 3
     gf9 = make_field(3, 2)
     for bad in (2.5, True, "1", np.float64(1)):
         with pytest.raises(ShiftOutOfRange):
             field_oracle(gf9, shift=(bad, 1))
-    assert field_oracle(gf9, shift=(np.int64(1), 1)).peek_shift() == (1, 1)
+    # coefficients outside [0, p), or not exactly r of them, are refused, not reduced
+    for bad in ((5, 1), (-1, 1), (1,), (1, 2, 0), 5):
+        with pytest.raises(ShiftOutOfRange):
+            field_oracle(gf9, shift=bad)
+    oracle = field_oracle(gf9, shift=(np.int64(1), 1))
+    assert oracle.query(element_to_index(gf9, (2, 2))) == 0  # chi(0), at x = -(1, 1)
 
 
 def test_random_shift_draw_is_seeded():
     a = legendre_oracle(13, rng=np.random.default_rng(5))
     b = legendre_oracle(13, rng=np.random.default_rng(5))
-    assert a.peek_shift() == b.peek_shift()
+    assert [a.query(x) for x in range(13)] == [b.query(x) for x in range(13)]
 
 
 def test_unknown_modulus_periodicity():
@@ -100,11 +105,12 @@ def test_zero_sets():
     assert len(zeros) == 1
 
 
-def test_field_oracle_accepts_elements_and_indices():
+def test_field_oracle_takes_indices_and_refuses_elements():
     gf9 = make_field(3, 2)
     oracle = field_oracle(gf9, shift=(0, 0))
     assert oracle.query(1) == 1  # chi(1)
-    assert oracle.query((1, 0)) == 1
+    with pytest.raises(DomainViolation):
+        oracle.query((1, 0))
     with pytest.raises(DomainViolation):
         oracle.query(9)
 
@@ -127,7 +133,8 @@ def test_secrecy_of_public_surface():
     public = {k: v for k, v in vars(oracle).items() if not k.startswith("_")}
     assert set(public) == {"variant", "domain_size"}
     assert public["domain_size"] == 400
-    assert oracle.peek_modulus() == 15 and oracle.peek_shift() == 7
+    # the hidden modulus and shift show only through the answers
+    assert [oracle.query(x) for x in range(30)] == [jacobi(x + 7, 15) for x in range(30)]
 
 
 def test_value_query_nonzero_mass():

@@ -36,7 +36,6 @@ from charshift.oracles import (
     jacobi_oracle,
     jacobi_unknown_oracle,
     result_sign_phase,
-    result_zero_mask,
 )
 from charshift.qsim import (
     RegisterLayout,
@@ -50,7 +49,12 @@ from charshift.qsim import (
     qft_factor,
     trace_fourier_transform,
 )
-from helpers import char_by_enumeration, jacobi_full_period_verdict, legendre_table
+from helpers import (
+    char_by_enumeration,
+    jacobi_full_period_verdict,
+    legendre_table,
+    result_zero_mask,
+)
 
 ODD_PRIMES = [p for p in range(3, 2000) if is_prime(p)]
 FIELDS = [(3, 1), (5, 1), (3, 2), (5, 2), (7, 2), (3, 3), (11, 2), (3, 4), (5, 3)]
