@@ -36,7 +36,6 @@ from .finite_field import (
     make_element,
     make_field,
     one,
-    parse_element,
     parse_poly,
     quadratic_character,
     trace,

@@ -37,7 +37,6 @@ from .number_theory import (
     factor_trial,
     gauss_sum_closed_form,
     jacobi,
-    legendre,
 )
 from .oracles import (
     RESULT_DIM,
@@ -71,6 +70,9 @@ PERIOD_PROBES = 20
 
 # Largest register a solve or analysis may allocate; see prepare_character_state.
 MAX_REGISTER_DIM = 1 << 20
+
+# Leading points that identify a hidden modulus and shift; see _verify_jacobi.
+CERTIFICATE_WIDTH = 58
 
 # Largest field tft_matrix_deviation accepts; see its docstring.
 TFT_MAX_Q = 1 << 10
@@ -213,36 +215,35 @@ def _sqcp_stage(state: StateVector, fld: ff.FieldSpec) -> StateVector:
 # candidate verification against classical probes
 
 
-def _verify_legendre(oracle: ShiftOracle, p: int, cand: int, rng) -> bool:
-    # The symbol vanishes at exactly one point, so the zero probe is decisive;
-    # the second probe is an independent consistency check.
-    if oracle.query((-cand) % p) != 0:
-        return False
-    x = int(rng.integers(p))
-    return oracle.query(x) == legendre(x + cand, p)
+def _verify_legendre(oracle: ShiftOracle, p: int, cand: int) -> bool:
+    # The symbol vanishes at exactly one point, so f(-c) = 0 exactly when c = s.
+    return oracle.query((-cand) % p) == 0
 
 
-def _verify_field(oracle: ShiftOracle, fld: ff.FieldSpec, cand, rng) -> bool:
-    if oracle.query(ff.element_to_index(fld, ff.ff_neg(fld, cand))) != 0:
-        return False
-    x = ff.element_from_index(fld, int(rng.integers(fld.q)))
-    expected = ff.quadratic_character(fld, ff.ff_arith(fld, x, cand, "add"))
-    return oracle.query(ff.element_to_index(fld, x)) == expected
+def _verify_field(oracle: ShiftOracle, fld: ff.FieldSpec, cand) -> bool:
+    # chi vanishes only at 0, so f(-c) = 0 exactly when c = s.
+    return oracle.query(ff.element_to_index(fld, ff.ff_neg(fld, cand))) == 0
 
 
 def _verify_jacobi(oracle: ShiftOracle, moduli: FactoredOddSquarefree, cand: int) -> bool:
+    n, factors = moduli.n, moduli.factors
+    k = len(factors)
+    if oracle.variant == VARIANT_JACOBI_UNKNOWN:
+        # The oracle is J(x + s, n0) for a hidden n0 with n0^2 < M; n is only a
+        # guess, and solve_sjsp admits only n^2 < M <= MAX_REGISTER_DIM.  For
+        # odd square-free n, n0 <= 1023 and any shifts, J(x + c, n) = J(x + s, n0)
+        # at every x < min(CERTIFICATE_WIDTH, M) only when (n, c) = (n0, s).
+        width = min(CERTIFICATE_WIDTH, oracle.domain_size)
+        return all(oracle.query(x) == jacobi(x + cand, n) for x in range(width))
     # The factors p_0 < ... < p_(k-1) are checked in order, prime j with k - j
     # points x built by CRT: -c at p_j, 1 - c at every checked prime (nonzero
     # once c agrees with the shift there), and one t in [0, k - j) at every
     # later prime, a different t per point.  If c is wrong at p_j, each later
     # prime vanishes at one point at most, so some answer is nonzero; taking
     # only all-zero answers therefore accepts exactly the shift, after
-    # k(k+1)/2 queries.  The argument needs the oracle to be J(x + s, n) for
-    # this very n, and p_(j+1) >= k - j; otherwise (a hidden modulus, where n
-    # is only a guess, or small factors as in 255255) compare one full period.
-    n, factors = moduli.n, moduli.factors
-    k = len(factors)
-    if oracle.variant != VARIANT_JACOBI or any(factors[j + 1] < k - j for j in range(k - 1)):
+    # k(k+1)/2 queries.  The argument needs p_(j+1) >= k - j; otherwise
+    # (small factors, as in 255255) compare one full period.
+    if any(factors[j + 1] < k - j for j in range(k - 1)):
         return all(oracle.query(x) == jacobi(x + cand, n) for x in range(n))
     checked = []
     for j, p in enumerate(factors):
@@ -267,8 +268,9 @@ def _las_vegas(oracle, dim, rng, stage, decode, decode_zero, verify):
     oracle domain.  On the zero branch the measured domain point goes through
     decode_zero, or the attempt is retried when decode_zero is None.  A
     decoder returns None to reject.  The first candidate that verify accepts
-    is returned.  Draws from rng come in the order preparation, measurement,
-    verification.  Each failed attempt is logged at DEBUG level.
+    is returned.  rng is drawn for preparation, then measurement; candidate
+    checks are deterministic, though verify may run a nested solve.  Each
+    failed attempt is logged at DEBUG level.
     """
     q0, c0 = oracle.phase_query_count, oracle.query_count
     for attempt in range(1, MAX_ATTEMPTS + 1):
@@ -329,7 +331,7 @@ def solve_slsp(p: int, oracle: ShiftOracle, rng) -> SolveReport:
         stage=lambda state: _legendre_stage(state, p),
         decode=negate,
         decode_zero=negate,
-        verify=lambda cand: _verify_legendre(oracle, p, cand, rng),
+        verify=lambda cand: _verify_legendre(oracle, p, cand),
     )
 
 
@@ -341,15 +343,20 @@ def solve_sjsp(moduli: FactoredOddSquarefree, oracle: ShiftOracle, rng) -> Solve
     probability is phi(n)/n.  After the Chinese-remainder relabeling the
     prime stage runs on every factor register and the negated per-factor
     outcomes recompose to the shift.  A candidate costs k(k+1)/2 classical
-    queries for a known-modulus oracle over Z_n with k prime factors, and n
-    queries for a hidden-modulus oracle or when small factors rule out the
-    short check (see _verify_jacobi).
+    queries for a known-modulus oracle over Z_n with k prime factors, or n
+    when small factors rule out that check, and at most CERTIFICATE_WIDTH
+    for a hidden-modulus oracle over Z_M (see _verify_jacobi).  A
+    hidden-modulus oracle is refused, before any query, when n^2 >= M or
+    M > MAX_REGISTER_DIM, where that check proves nothing.
     """
-    n = moduli.n
-    if oracle.variant not in (VARIANT_JACOBI, VARIANT_JACOBI_UNKNOWN):
-        raise ValueError("oracle is not a Jacobi-symbol instance")
-    if oracle.domain_size < n or (oracle.variant == VARIANT_JACOBI and oracle.domain_size != n):
-        raise ValueError("oracle domain does not match the modulus")
+    n, big_m = moduli.n, oracle.domain_size
+    if oracle.variant == VARIANT_JACOBI_UNKNOWN:
+        if big_m > MAX_REGISTER_DIM:
+            raise DomainTooLarge(f"hidden-modulus domain {big_m} exceeds {MAX_REGISTER_DIM}")
+        if n * n >= big_m:
+            raise ModulusTooLargeForM(f"need n^2 < M but {n}^2 >= {big_m}")
+    elif oracle.variant != VARIANT_JACOBI or big_m != n:
+        raise ValueError("oracle is not a Jacobi-symbol instance over Z_n")
     layout = RegisterLayout(moduli.factors)
 
     def decode(index):
@@ -381,13 +388,11 @@ def best_convergent_denominator(i: int, big_m: int) -> int:
     return best_convergent_fraction(i, big_m).denominator
 
 
-def _period_holds(oracle: ShiftOracle, period: int, rng) -> bool:
-    top = oracle.domain_size - period
-    for _ in range(PERIOD_PROBES):
-        x = int(rng.integers(top))
-        if oracle.query(x) != oracle.query(x + period):
-            return False
-    return True
+def _period_holds(oracle: ShiftOracle, period: int) -> bool:
+    # A cheap filter that spares the sub-solve's coherent queries on wrong
+    # candidates; the sub-solve's own check is what proves a modulus.
+    top = min(PERIOD_PROBES, oracle.domain_size - period)
+    return all(oracle.query(x) == oracle.query(x + period) for x in range(top))
 
 
 def solve_sjsp_unknown_n(big_m: int, oracle: ShiftOracle, rng) -> SolveReport:
@@ -396,9 +401,8 @@ def solve_sjsp_unknown_n(big_m: int, oracle: ShiftOracle, rng) -> SolveReport:
     Fourier-samples the repeated phase state over Z_M, reads a modulus
     candidate off the continued-fraction expansion of outcome/M, validates it
     with periodicity probes and square-freeness, and hands the oracle to the
-    known-modulus solver.  Invalid candidates are resampled; a candidate that
-    passes the probes but still is not the true period can only burn the
-    sub-solver's retries, never return a wrong answer.
+    known-modulus solver, whose prefix check accepts only the true modulus
+    and shift.  Invalid candidates are resampled.
     """
     if oracle.variant != VARIANT_JACOBI_UNKNOWN or oracle.domain_size != big_m:
         raise ValueError("oracle does not match the requested domain size")
@@ -417,7 +421,7 @@ def solve_sjsp_unknown_n(big_m: int, oracle: ShiftOracle, rng) -> SolveReport:
             return None
 
     def verify(moduli):
-        if not _period_holds(oracle, moduli.n, rng):
+        if not _period_holds(oracle, moduli.n):
             return False
         try:
             solved.append(solve_sjsp(moduli, oracle, rng))
@@ -465,7 +469,7 @@ def solve_sqcp(fld: ff.FieldSpec, oracle: ShiftOracle, rng) -> SolveReport:
         stage=lambda state: _sqcp_stage(state, fld),
         decode=negated_element,
         decode_zero=negated_element,
-        verify=lambda cand: _verify_field(oracle, fld, cand, rng),
+        verify=lambda cand: _verify_field(oracle, fld, cand),
     )
 
 

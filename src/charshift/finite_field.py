@@ -307,8 +307,3 @@ def parse_poly(text: str) -> tuple[int, ...]:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise ValueError(f"bad polynomial {text!r}: {exc}") from None
-
-
-def parse_element(spec: FieldSpec, text: str) -> FieldElement:
-    """Parse an element in the same comma-separated form, exactly r entries."""
-    return make_element(spec, parse_poly(text))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from charshift.algorithms import (
+    CERTIFICATE_WIDTH,
     MAX_REGISTER_DIM,
     best_convergent_denominator,
     best_convergent_fraction,
@@ -52,7 +53,12 @@ from charshift.oracles import (
     legendre_oracle,
 )
 from charshift.qsim import StateVector, qft, trace_fourier_transform
-from helpers import equal_up_to_global_phase, prepare_character_state_eager
+from helpers import (
+    equal_up_to_global_phase,
+    jacobi_row_by_product,
+    odd_squarefree_up_to,
+    prepare_character_state_eager,
+)
 
 
 def test_solve_slsp_examples():
@@ -338,6 +344,16 @@ def test_solve_unknown_modulus_examples():
     assert rep.recovered_modulus == 3 and rep.recovered_shift == 0
 
 
+@pytest.mark.parametrize("big_m", [10, 16])
+def test_solve_unknown_modulus_on_the_smallest_domains(big_m):
+    # Fewer than 20 + 3 points: the period filter and the prefix check both
+    # stop at the domain edge.
+    for shift in range(3):
+        rep = solve_sjsp_unknown_n(big_m, jacobi_unknown_oracle(3, big_m, shift=shift),
+                                   np.random.default_rng(shift))
+        assert rep.recovered_modulus == 3 and rep.recovered_shift == shift
+
+
 def test_solve_unknown_modulus_rejects_tiny_domain():
     with pytest.raises(NoValidConvergent):
         solve_sjsp_unknown_n(8, _DummyOracle(), np.random.default_rng(0))
@@ -386,10 +402,57 @@ def test_solver_oracle_mismatch_rejected():
 def test_divisor_of_a_hidden_modulus_never_verifies(shift):
     # 35 divides the hidden 105.  Probes built by CRT from the factors of 35
     # accept wrong shifts of this oracle (694 of its 3675 (s, c) pairs), so a
-    # sub-solve on a hidden modulus must compare one full period instead.
+    # sub-solve on a hidden modulus must check a prefix certificate instead.
     oracle = jacobi_unknown_oracle(105, 2**14, shift=shift)
     with pytest.raises(RetriesExhausted):
         solve_sjsp(factor_trial(35), oracle, np.random.default_rng(shift))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_hidden_modulus_period_prefix_is_not_a_certificate(seed):
+    # J(x + 12, 15) equals J(x + 192, 885) at every x < 15 (they first differ
+    # at x = 16), so a check of one period of the guessed modulus would accept
+    # shift 12.
+    oracle = jacobi_unknown_oracle(885, 2**20, shift=192)
+    with pytest.raises(RetriesExhausted):
+        solve_sjsp(factor_trial(15), oracle, np.random.default_rng(seed))
+
+
+def test_hidden_modulus_outside_the_certificate_is_refused():
+    # n^2 >= M, or M beyond MAX_REGISTER_DIM where n may exceed 1023: both
+    # are refused before any query.
+    for moduli, oracle, error in (
+        (factor_trial(35), jacobi_unknown_oracle(3, 35**2, shift=1), ModulusTooLargeForM),
+        (factor_trial(15), jacobi_unknown_oracle(15, MAX_REGISTER_DIM + 1, shift=1),
+         DomainTooLarge),
+    ):
+        with pytest.raises(error):
+            solve_sjsp(moduli, oracle, np.random.default_rng(0))
+        assert oracle.phase_query_count == 0 and oracle.query_count == 0
+
+
+def _prefixes_distinct(ns, width):
+    prefixes = set()
+    total = 0
+    for n in ns:
+        row = jacobi_row_by_product(n).astype(np.int8)
+        for prefix in row[(np.arange(n)[:, None] + np.arange(width)) % n]:
+            prefixes.add(prefix.tobytes())
+        total += n
+    return len(prefixes) == total
+
+
+def test_prefix_certificate_identifies_every_hidden_modulus_and_shift():
+    # J(x + s, n) over x < width, for every odd square-free n with n^2 below
+    # the largest M and every shift s: all distinct at CERTIFICATE_WIDTH, not
+    # all distinct one point earlier.
+    ns = odd_squarefree_up_to(math.isqrt(MAX_REGISTER_DIM - 1))
+    assert ns[-1] == 1023
+    assert _prefixes_distinct(ns, CERTIFICATE_WIDTH)
+    assert not _prefixes_distinct(ns, CERTIFICATE_WIDTH - 1)
+    # A domain shorter than the certificate is checked in full.
+    for big_m in range(10, CERTIFICATE_WIDTH):
+        assert _prefixes_distinct(odd_squarefree_up_to(math.isqrt(big_m - 1)), big_m)
 
 
 def test_admission_limit_refuses_before_any_query():

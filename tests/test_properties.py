@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charshift.algorithms import _unshifted_symbol, _verify_jacobi
+from charshift.algorithms import (
+    CERTIFICATE_WIDTH,
+    MAX_REGISTER_DIM,
+    _unshifted_symbol,
+    _verify_field,
+    _verify_jacobi,
+    _verify_legendre,
+)
 from charshift.errors import SingularTraceMatrix
 from charshift.finite_field import (
     FieldSpec,
@@ -16,6 +23,7 @@ from charshift.finite_field import (
     character_table,
     digit_table,
     element_from_index,
+    element_to_index,
     ff_arith,
     make_field,
     quadratic_character,
@@ -33,8 +41,10 @@ from charshift.number_theory import (
 )
 from charshift.oracles import (
     discard_result_register,
+    field_oracle,
     jacobi_oracle,
     jacobi_unknown_oracle,
+    legendre_oracle,
     result_sign_phase,
 )
 from charshift.qsim import (
@@ -52,6 +62,7 @@ from charshift.qsim import (
 from helpers import (
     char_by_enumeration,
     jacobi_full_period_verdict,
+    jacobi_row_by_product,
     legendre_table,
     result_zero_mask,
 )
@@ -251,6 +262,58 @@ def test_jacobi_check_falls_back_to_a_full_period():
     assert oracle.query_count == n
     wrong = (s + n // 3) % n  # agrees with s at every prime but 3
     assert not _verify_jacobi(oracle, moduli, wrong)
+
+
+@checked
+@given(p=st.sampled_from(ODD_PRIMES), data=st.data())
+def test_legendre_zero_probe_accepts_exactly_the_shift(p, data):
+    s = data.draw(st.integers(0, p - 1))
+    cand = data.draw(st.one_of(st.just(s), st.integers(0, p - 1)))
+    oracle = legendre_oracle(p, shift=s)
+    same_function = np.array_equal(np.roll(legendre_table(p), -s),
+                                   np.roll(legendre_table(p), -cand))
+    assert _verify_legendre(oracle, p, cand) == same_function == (cand == s)
+    assert oracle.query_count == 1
+
+
+@checked
+@given(shape=st.sampled_from(FIELDS), data=st.data())
+def test_field_zero_probe_accepts_exactly_the_shift(shape, data):
+    fld = make_field(*shape)
+    i = data.draw(st.integers(0, fld.q - 1))
+    j = data.draw(st.one_of(st.just(i), st.integers(0, fld.q - 1)))
+    s, cand = element_from_index(fld, i), element_from_index(fld, j)
+    oracle = field_oracle(fld, shift=s)
+    chi = char_by_enumeration(fld)
+
+    def shifted(c):
+        return [chi[element_to_index(fld, ff_arith(fld, element_from_index(fld, x), c, "add"))]
+                for x in range(fld.q)]
+
+    assert _verify_field(oracle, fld, cand) == (shifted(cand) == shifted(s)) == (cand == s)
+    assert oracle.query_count == 1
+
+
+@checked
+@given(n=odd_squarefree(1023), data=st.data())
+def test_hidden_modulus_prefix_check_accepts_exactly_the_modulus_and_shift(n, data):
+    big_m = data.draw(st.integers(n * n + 1, MAX_REGISTER_DIM))
+    s = data.draw(st.integers(0, n - 1))
+    guess = data.draw(st.one_of(
+        st.just(n),
+        st.sampled_from(factor_trial(n).factors),  # a divisor of the hidden modulus
+        odd_squarefree(math.isqrt(big_m - 1)),
+    ))
+    cand = data.draw(st.one_of(st.just(s % guess), st.integers(0, guess - 1)))
+    oracle = jacobi_unknown_oracle(n, big_m, shift=s)
+    xs = np.arange(big_m)
+    whole_domain = np.array_equal(jacobi_row_by_product(n)[(xs + s) % n],
+                                  jacobi_row_by_product(guess)[(xs + cand) % guess])
+    accepted = _verify_jacobi(oracle, factor_trial(guess), cand)
+    assert accepted == whole_domain == ((guess, cand) == (n, s))
+    assert oracle.query_count <= min(CERTIFICATE_WIDTH, big_m)
+    if accepted:
+        assert oracle.query_count == min(CERTIFICATE_WIDTH, big_m)
 
 
 @checked

@@ -83,7 +83,7 @@ def test_qft_unitary_exhaustive_small():
 
 
 @pytest.mark.parametrize("dim", [4095, 4096, 4097])
-def test_qft_paths_agree_at_crossover(dim):
+def test_qft_matches_literal_kernel_on_mixed_radix_sizes(dim):
     # qft against its literal kernel on sizes factored as 3^2*5*7*13, 2^12
     # and 17*241, for both signs
     x_seeded = int(np.random.default_rng(dim).integers(2, dim - 1))
