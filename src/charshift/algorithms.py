@@ -14,6 +14,7 @@ import logging
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,18 +47,18 @@ from .oracles import (
     VARIANT_LEGENDRE,
     ShiftOracle,
     discard_result_register,
-    result_sign_phase,
 )
 from .qsim import (
     RegisterLayout,
     StateVector,
+    _check_state_norm,
+    _trusted,
     apply_phase,
     basis_state,
     distribution,
     measure,
     normalized,
     permute_basis,
-    project,
     qft,
     qft_factor,
     trace_fourier_transform,
@@ -134,24 +135,32 @@ def prepare_character_state(oracle: ShiftOracle, dim: int, rng=None):
     With rng=None nothing is sampled and the accepted branch is taken by
     projection, as the exact per-attempt analyses need.
 
-    Every solve and analysis allocates its registers here.  The value query
-    holds 3*dim complex128 amplitudes, 48 MiB per vector at dim = 2^20, and
-    several such vectors are alive at once; a dim above MAX_REGISTER_DIM
-    raises DomainTooLarge before any allocation or query.
+    Every solve and analysis allocates its registers here, working on the
+    (dim, 3) view of the value query's 3*dim complex128 amplitudes (48 MiB
+    at dim = 2^20; about three such vectors live at once, beside the shared
+    uniform state and the oracle's 12-byte-per-slot index).  A dim above
+    MAX_REGISTER_DIM raises DomainTooLarge before any allocation or query.
     """
     if dim > MAX_REGISTER_DIM:
         raise DomainTooLarge(f"register of dimension {dim} exceeds {MAX_REGISTER_DIM}")
-    state = qft(basis_state(dim, 0))
-    state = oracle.value_query_superposed(state)
-    zero = np.zeros(state.dim, dtype=bool)
-    zero[::RESULT_DIM] = True
-    zero_prob = float(np.sum(np.abs(state.amps[zero]) ** 2))  # summed as project sums it
+    amps = oracle.value_query_superposed(_uniform_state(dim)).amps
+    _check_state_norm(amps)
+    masses = (np.abs(amps) ** 2).reshape(dim, RESULT_DIM)  # summed in project's order
+    zero_prob = float(np.sum(masses[:, 0]))
     if rng is not None and rng.random() < zero_prob:
-        return False, project(state, zero)[1], zero_prob
-    _, state = project(state, ~zero)
-    state = result_sign_phase(state)
-    state = oracle.value_query_superposed(state, entangled=True)
+        out = np.zeros_like(amps)
+        np.divide(amps[::RESULT_DIM], math.sqrt(zero_prob), out=out[::RESULT_DIM])
+        return False, _trusted(out), zero_prob
+    amps = amps / math.sqrt(float(np.sum(masses[:, 1:].ravel())))
+    amps[::RESULT_DIM] = 0
+    np.negative(amps[2::RESULT_DIM], out=amps[2::RESULT_DIM])  # result_sign_phase's sign
+    state = oracle.value_query_superposed(_trusted(amps), entangled=True)
     return True, discard_result_register(state), zero_prob
+
+
+@lru_cache(maxsize=4)  # frozen, so shareable; np.full is not bit-equal (dim = 89)
+def _uniform_state(dim: int) -> StateVector:
+    return qft(basis_state(dim, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -267,8 +267,6 @@ def _run_trial(command, params, shift, seed, trial) -> dict:
 def _solve_command(command, args) -> int:
     if args.trials < 1:
         raise ConfigError("--trials must be at least 1")
-    if args.seed < 0:
-        raise ConfigError("--seed must be nonnegative")
     if args.workers < 1:
         raise ConfigError("--workers must be at least 1")
 
@@ -435,6 +433,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
+        if not 0 <= getattr(args, "seed", 0) < 1 << 64:
+            raise ConfigError(f"--seed {args.seed} outside [0, 2^64)")
         if args.command in VARIANTS:
             code = _solve_command(args.command, args)
         else:

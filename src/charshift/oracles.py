@@ -13,7 +13,8 @@ Jacobi a product of per-prime Legendre rows over a period, point by point otherw
 Result register encoding: a function value v in {-1, 0, +1} is stored as the
 digit v mod 3 at the fast end of the index, i.e. composite index = x*3 + digit.
 The coherent update is digit <- (v - digit) mod 3, an involution that computes
-from a cleared register and clears a computed one.
+from a cleared register and clears a computed one.  Both modes are one gather
+or scatter through an int32 index cached per register base (see _index).
 """
 
 import threading
@@ -33,8 +34,8 @@ from .number_theory import _jacobi_row, factor_trial, is_prime, jacobi, legendre
 from .qsim import NORM_TOL, StateVector, _trusted
 
 RESULT_DIM = 3
-# _UNCOMPUTE[d, w] = (d - w) mod 3, the digit that digit <- (d - digit) mod 3 sends to w.
-_UNCOMPUTE = (np.arange(RESULT_DIM)[:, None] - np.arange(RESULT_DIM)) % RESULT_DIM
+# _STEP[v + 1, w] = (v - w) mod 3 - w, which moves slot x*3 + w to x*3 + (v - w) mod 3.
+_STEP = np.array([[2, 0, -2], [0, 1, -1], [1, -1, 0]], dtype=np.int32)
 
 VARIANT_LEGENDRE = "legendre"
 VARIANT_JACOBI = "jacobi"
@@ -52,6 +53,7 @@ class ShiftOracle:
         self._tabulate = tabulate
         self._field = field
         self._table = None
+        self._indices = {}  # register base -> read-only uncompute index
         self._lock = threading.Lock()
         self._query_count = 0
         self._phase_query_count = 0
@@ -96,6 +98,17 @@ class ShiftOracle:
         out[:upto] = self._table[:upto]
         return out
 
+    def _index(self, base: int) -> np.ndarray:
+        # index[x*3 + w] = x*3 + (v(x) - w) mod 3 over base slots: the entangled
+        # query gathers amps[index], the plain one scatters amps[x] to index[x*3].
+        index = self._indices.get(base)
+        if index is None:
+            index = _STEP.take(self._values(base) + 1, axis=0).ravel()
+            index += np.arange(base * RESULT_DIM, dtype=np.int32)
+            index.flags.writeable = False
+            self._indices[base] = index
+        return index
+
     def value_query_superposed(self, state: StateVector, entangled: bool = False) -> StateVector:
         """Coherently evaluate into the result register (one coherent query).
 
@@ -108,16 +121,10 @@ class ShiftOracle:
         if entangled:
             if state.dim % RESULT_DIM:
                 raise DomainViolation("entangled state dimension must be a multiple of 3")
-            base = state.dim // RESULT_DIM
-            digits = self._values(base) % RESULT_DIM
-            out = np.take_along_axis(
-                state.amps.reshape(base, RESULT_DIM), _UNCOMPUTE[digits], axis=1
-            ).ravel()
+            out = state.amps[self._index(state.dim // RESULT_DIM)]
         else:
-            base = state.dim
-            digits = self._values(base) % RESULT_DIM
-            out = np.zeros(base * RESULT_DIM, dtype=np.complex128)
-            out[np.arange(base) * RESULT_DIM + digits] = state.amps
+            out = np.zeros(state.dim * RESULT_DIM, dtype=np.complex128)
+            out[self._index(state.dim)[::RESULT_DIM]] = state.amps
         self._bump("_phase_query_count")
         return _trusted(out)
 
@@ -130,9 +137,9 @@ def result_sign_phase(state: StateVector) -> StateVector:
     """
     if state.dim % RESULT_DIM:
         raise DomainViolation("state dimension must be a multiple of 3")
-    signs = np.ones(state.dim)
-    signs[2::RESULT_DIM] = -1.0
-    return _trusted(state.amps * signs)
+    out = state.amps.copy()
+    np.negative(out[2::RESULT_DIM], out=out[2::RESULT_DIM])
+    return _trusted(out)
 
 
 def discard_result_register(state: StateVector) -> StateVector:

@@ -8,8 +8,8 @@ sub-register of a composite register, and the trace transform over F_q.  The
 forward transform uses the +2*pi*i sign convention.  The phase, permutation
 and projection kernels take one array entry per basis index.  All operations
 return fresh states and never mutate their input.  StateVector and normalized
-copy and norm-check their input, kernels freeze their own fresh output, and
-project, measure and oracles.discard_result_register check the norm they read.
+copy and norm-check their input, kernels freeze their fresh output, and project,
+measure and the result-register readers in oracles and algorithms check norms.
 """
 
 import math
@@ -48,6 +48,11 @@ def _check_norm(sq: float) -> float:
     if not abs(sq - 1.0) <= NORM_TOL:  # negated so that a NaN norm fails too
         raise ValueError(f"state norm^2 = {sq!r} is not 1 within {NORM_TOL}")
     return sq
+
+
+def _check_state_norm(amps: np.ndarray) -> float:
+    re_im = amps.view(np.float64)  # einsum, not np.vdot: BLAS threads spin on after it
+    return _check_norm(float(np.einsum("i,i->", re_im, re_im)))
 
 
 def _trusted(amps: np.ndarray) -> StateVector:
@@ -137,8 +142,7 @@ def project(state: StateVector, mask):
     Returns (prob, state), with state None when the subspace carries no mass.
     """
     mask = _per_index(state, mask, bool)
-    re_im = state.amps.view(np.float64)  # einsum, not np.vdot: BLAS threads spin on after it
-    _check_norm(float(np.einsum("i,i->", re_im, re_im)))
+    _check_state_norm(state.amps)
     prob = float(np.sum(np.abs(state.amps[mask]) ** 2))
     if prob < 1e-15:
         return prob, None

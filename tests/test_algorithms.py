@@ -163,6 +163,9 @@ def test_sjsp_collapse_rate_statistics():
     (partial(legendre_oracle, 3, shift=1), 3),
     (partial(jacobi_oracle, 15, shift=2), 15),
     (partial(jacobi_unknown_oracle, 21, 1024, shift=4), 1024),
+    (partial(legendre_oracle, 101, shift=5), 101),  # FFT uniform state not constant
+    (partial(field_oracle, make_field(3, 2), shift=(1, 2)), 10),  # dummy slot at q
+    (partial(jacobi_unknown_oracle, 21, 1 << 14, shift=4), 1 << 14),
 ])
 def test_lazy_zero_branch_matches_eager_preparation(make_oracle, dim):
     def bits(prepared):
@@ -170,7 +173,7 @@ def test_lazy_zero_branch_matches_eager_preparation(make_oracle, dim):
         return accepted, state.amps.tobytes(), zero_prob
 
     branches = set()
-    for seed in range(16):
+    for seed in range(64):  # seed 34 draws the 1/101 zero branch at p = 101
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         oracle, ref_oracle = make_oracle(), make_oracle()
         got = prepare_character_state(oracle, dim, rng)

@@ -81,6 +81,17 @@ def test_config_errors_exit_2():
     assert refused.returncode == 2 and refused.stdout == ""
 
 
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+@pytest.mark.parametrize("command", [
+    ["slsp", "--p", "13"],
+    ["oracle-dump", "--variant", "legendre", "--p", "7", "--shift", "random"],
+])
+def test_seed_outside_64_bits_exits_2(capsys, command, seed):
+    assert cli.main(command + ["--seed", seed]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--seed" in err
+
+
 def test_random_shift_replays_with_seed():
     a = run_cli("slsp", "--p", "13", "--trials", "5", "--seed", "17")
     b = run_cli("slsp", "--p", "13", "--trials", "5", "--seed", "17")

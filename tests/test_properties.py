@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 from charshift.algorithms import (
     CERTIFICATE_WIDTH,
     MAX_REGISTER_DIM,
+    _uniform_state,
     _unshifted_symbol,
     _verify_field,
     _verify_jacobi,
     _verify_legendre,
+    prepare_character_state,
 )
 from charshift.errors import SingularTraceMatrix
 from charshift.finite_field import (
@@ -333,6 +335,37 @@ def test_entangled_value_query_is_an_involution(n, data, seed):
     twice = oracle.value_query_superposed(once, entangled=True)
     assert np.array_equal(twice.amps, state.amps)
     assert oracle.phase_query_count == 2
+
+
+@checked
+@given(n=odd_squarefree(37), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_plain_value_query_per_base_and_shared_uniform_state(n, data, seed):
+    big_m = data.draw(st.integers(n * n + 1, 1500))
+    s = data.draw(st.integers(0, n - 1))
+    oracle = jacobi_unknown_oracle(n, big_m, shift=s)
+    # base M, base n and a base past the domain, in any order, on one oracle
+    bases = data.draw(st.permutations([big_m, n, big_m + data.draw(st.integers(1, 3))]))
+    for base in bases:
+        state = random_state(base, seed)
+        once = oracle.value_query_superposed(state)
+        # amps[x] moves to x*3 + (value mod 3), written out index by index
+        want = np.zeros(base * 3, dtype=np.complex128)
+        for x in range(base):
+            want[x * 3 + (jacobi(x + s, n) if x < big_m else 1) % 3] = state.amps[x]
+        assert np.array_equal(once.amps, want)
+        twice = oracle.value_query_superposed(once, entangled=True)
+        assert np.array_equal(twice.amps[::3], state.amps)
+        assert not np.any(twice.amps.reshape(base, 3)[:, 1:])
+    assert oracle.phase_query_count == 6
+
+    base = bases[0]
+    uniform = _uniform_state(base)
+    assert not uniform.amps.flags.writeable
+    assert uniform.amps.tobytes() == qft(basis_state(base, 0)).amps.tobytes()
+    for rng in (None, np.random.default_rng(seed)):
+        _, prepared, _ = prepare_character_state(oracle, base, rng)
+        assert not np.shares_memory(prepared.amps, uniform.amps)
+    assert _uniform_state(base) is uniform
 
 
 @checked
