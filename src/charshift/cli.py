@@ -32,7 +32,7 @@ from .number_theory import (
     factor_trial,
     gauss_sum_bruteforce,
     gauss_sum_closed_form,
-    is_prime,
+    is_odd_prime,
 )
 
 log = logging.getLogger("charshift")
@@ -119,21 +119,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _prime_params(args):
-    if args.p < 3 or args.p % 2 == 0 or not is_prime(args.p):
+    _refuse_above("--p", args.p, alg.MAX_REGISTER_DIM)
+    if not is_odd_prime(args.p):
         raise ConfigError(f"--p {args.p} is not an odd prime")
     return {"p": args.p}
 
 
 def _modulus_params(args):
+    _refuse_above("--n", args.n, alg.MAX_REGISTER_DIM)
     _checked(factor_trial, args.n)
     return {"n": args.n}
 
 
 def _hidden_modulus_params(args):
-    _checked(factor_trial, args.n)
+    _refuse_above("--M", args.M, alg.MAX_REGISTER_DIM)
     if args.n * args.n >= args.M:
         raise ConfigError(f"need n^2 < M but {args.n}^2 >= {args.M}")
+    _checked(factor_trial, args.n)
     return {"n": args.n, "M": args.M}
+
+
+def _refuse_above(flag, value, limit):
+    """Raise DomainTooLarge for an integer parameter above limit.
+
+    Runs before any factorization or shift draw: trial division of a
+    20-digit --n takes hours, and a shift draw fails outright above 2^64.
+    """
+    if value > limit:
+        raise DomainTooLarge(f"{flag} {value} exceeds {limit}")
 
 
 def _field_params(args):
@@ -349,6 +362,7 @@ def _gauss_command(args) -> int:
     if args.zp is not None:
         spec = _checked(GaussSumSpec.for_prime, args.zp)
     elif args.zn is not None:
+        _refuse_above("--zn", args.zn, GAUSS_BRUTEFORCE_MAX)
         spec = GaussSumSpec.for_ring(_checked(factor_trial, args.zn))
     else:
         p, r = args.fq
@@ -371,6 +385,7 @@ def _verify_command(args) -> int:
     if args.suite == "lemma3":
         if args.n is None:
             raise ConfigError("verify lemma3 requires --n")
+        _refuse_above("--n", args.n, alg.MAX_REGISTER_DIM)
         moduli = _checked(factor_trial, args.n)
         if not 0 <= args.shift < args.n:
             raise ConfigError(f"--shift {args.shift} outside [0, {args.n})")
@@ -392,6 +407,7 @@ def _verify_command(args) -> int:
     # rfcf
     if args.n is None or args.M is None:
         raise ConfigError("verify rfcf requires --n and --M")
+    _refuse_above("--n", args.n, alg.MAX_REGISTER_DIM)
     moduli = _checked(factor_trial, args.n)
     if not 0 <= args.shift < args.n:
         raise ConfigError(f"--shift {args.shift} outside [0, {args.n})")

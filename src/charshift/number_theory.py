@@ -21,9 +21,28 @@ from .errors import (
     UnsupportedParameters,
 )
 
-# Witnesses making Miller-Rabin deterministic for all inputs below 3.3 * 10^24,
-# far past desk scale.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the first k primes as bases decides every n below psi_k, the
+# least odd composite that is a strong pseudoprime to all k of them (OEIS A014233;
+# Jaeschke, Math. Comp. 61, 1993; Sorenson and Webster, Math. Comp. 86, 2017, for
+# psi_12 and psi_13).  psi_7 = psi_8 and psi_9 = psi_10 = psi_11, so those bases
+# add no range.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUNDS = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+_MR_PRIMORIAL = math.prod(_MR_BASES)
 
 _UNITS = (1 + 0j, 1j, -1 + 0j, -1j)  # powers of i
 
@@ -32,34 +51,43 @@ GAUSS_BRUTEFORCE_MAX = 10**6
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test for desk-scale integers."""
+    """Deterministic Miller-Rabin primality test, proven for every n below
+    psi_13 = 3317044064679887385961981 (about 3.3 * 10^24).
+
+    Uses the first k prime bases for the least k with n < psi_k (OEIS A014233),
+    so n < 2047 costs one modular power and n < 1373653 two.  A False is always
+    proven by a witness; an n >= psi_13 that passes all 13 bases raises
+    DomainTooLarge, since no proven base set of this form decides it.
+    """
     if n < 2:
         return False
-    for b in _MR_BASES:
-        if n == b:
-            return True
-        if n % b == 0:
-            return False
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for b in _MR_BASES:
+    if math.gcd(n, _MR_PRIMORIAL) != 1:
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for b, bound in zip(_MR_BASES, _MR_BOUNDS):
         x = pow(b, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < bound:
+            return True
+    raise DomainTooLarge(f"{n} passes all {len(_MR_BASES)} bases but is at least "
+                         f"{_MR_BOUNDS[-1]}, beyond the proven range")
+
+
+def is_odd_prime(n: int) -> bool:
+    """Whether n is a prime other than 2, the moduli the Legendre symbol takes."""
+    return n != 2 and is_prime(n)
 
 
 def legendre(x: int, p: int) -> int:
     """Quadratic residue symbol of x modulo an odd prime p, in {-1, 0, +1}."""
-    if p < 3 or p % 2 == 0 or not is_prime(p):
+    if not is_odd_prime(p):
         raise NotOddPrime(f"{p} is not an odd prime")
     x %= p
     if x == 0:
@@ -125,7 +153,7 @@ class FactoredOddSquarefree:
             raise ValueError("factors must be sorted ascending")
         prod = 1
         for p in self.factors:
-            if p % 2 == 0 or not is_prime(p):
+            if not is_odd_prime(p):
                 raise ValueError(f"{p} is not an odd prime")
             prod *= p
         if prod != self.n:
@@ -221,7 +249,7 @@ class GaussSumSpec:
     @classmethod
     def for_prime(cls, p: int) -> "GaussSumSpec":
         """Z_p as the ring Z_n with n = p, where the Jacobi symbol is Legendre's."""
-        if p < 3 or p % 2 == 0 or not is_prime(p):
+        if not is_odd_prime(p):
             raise NotOddPrime(f"{p} is not an odd prime")
         return cls.for_ring(FactoredOddSquarefree(p, (p,)))
 

@@ -5,6 +5,8 @@ per-factor tables) so the library paths under test are checked against a
 different route, not against themselves.
 """
 
+import math
+
 import numpy as np
 
 from charshift.errors import DimensionMismatch, NotSquareFree
@@ -67,6 +69,17 @@ def odd_squarefree_up_to(limit: int) -> list[int]:
             continue
         out.append(n)
     return out
+
+
+def prime_sieve(limit: int) -> np.ndarray:
+    """Boolean array whose entry n says whether n is prime, for n < limit
+    (sieve of Eratosthenes)."""
+    sieve = np.ones(limit, dtype=bool)
+    sieve[:2] = False
+    for d in range(2, math.isqrt(limit - 1) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = False
+    return sieve
 
 
 def squares_mod(p: int) -> set[int]:

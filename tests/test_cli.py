@@ -227,6 +227,27 @@ def test_admission_limit_exits_2(capsys, monkeypatch):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("args", [
+    ["slsp", "--p", "18446744073709551629"],  # a prime above 2^64
+    ["slsp", "--p", "318665857834031151167461"],  # a strong pseudoprime to bases 2..37
+    ["sjsp", "--n", "1000000016000000063"],  # (10^9 + 7)(10^9 + 9)
+    ["sjsp-unknown", "--n", "1000000016000000063", "--M", "65536"],
+    ["sjsp-unknown", "--n", "15", "--M", str(1 << 64)],
+    ["oracle-dump", "--variant", "jacobi", "--n", "1000000016000000063"],
+    ["gauss", "--zn", "1000000016000000063"],
+    ["verify", "lemma3", "--n", "1000000016000000063"],
+    ["verify", "rfcf", "--n", "1000000016000000063", "--M", "65536"],
+])
+def test_oversized_integers_exit_2_before_factoring(capsys, monkeypatch, args):
+    def no_factoring(n):
+        raise AssertionError(f"factor_trial({n}) called for an oversized parameter")
+
+    monkeypatch.setattr(cli, "factor_trial", no_factoring)
+    assert cli.main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
 @pytest.mark.parametrize("workers,trials,cpus,size", [
     (5000, 1, 64, None), (5000, 3, 64, 3), (5000, 8, 4, 4), (2, 8, None, None), (3, 8, 2, 2),
 ])

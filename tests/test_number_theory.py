@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charshift.errors import (
     DomainTooLarge,
@@ -22,18 +24,59 @@ from charshift.number_theory import (
     factor_trial,
     gauss_sum_bruteforce,
     gauss_sum_closed_form,
+    is_odd_prime,
     is_prime,
     jacobi,
     legendre,
 )
-from helpers import jacobi_row_by_product, odd_squarefree_up_to, squares_mod
+from helpers import jacobi_row_by_product, odd_squarefree_up_to, prime_sieve, squares_mod
 
 ODD_PRIMES_TO_101 = [p for p in range(3, 102, 2) if is_prime(p)]
+
+
+SIEVE = prime_sieve(1 << 18)
+SIEVE_PRIMES = np.flatnonzero(SIEVE).tolist()
+
+# psi_k (OEIS A014233): the least odd composite that is a strong pseudoprime to
+# each of the first k prime bases, for k = 1..12.
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+       3825123056546413051, 318665857834031151167461)
+PSI_13 = 3317044064679887385961981
 
 
 def test_is_prime():
     assert is_prime(2) and is_prime(3) and is_prime(101) and is_prime(10**9 + 7)
     assert not is_prime(1) and not is_prime(561) and not is_prime(9)  # 561 is Carmichael
+    assert is_odd_prime(3) and not is_odd_prime(2) and not is_odd_prime(-3)
+
+
+def test_is_prime_matches_sieve():
+    got = np.array([is_prime(n) for n in range(len(SIEVE))])
+    assert np.array_equal(got, SIEVE)
+
+
+@pytest.mark.parametrize("n", sorted(set(PSI) | {3277, 4033, 4681, 8321}))
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    # 2047, 3277, 4033, 4681, 8321 and psi_2 = 1373653 are strong pseudoprimes
+    # to base 2; psi_12 = 399165290221 * 798330580441 passes all of 2, 3, ..., 37.
+    assert not is_prime(n)
+
+
+def test_is_prime_refuses_beyond_the_proven_range():
+    assert is_prime(PSI_13 - 168)  # the largest prime below psi_13
+    assert not is_prime(PSI_13 + 2)  # beyond it, a witness still proves compositeness
+    # psi_13 is composite and passes all 13 bases, as does the probable prime
+    # psi_13 + 142, so neither answer could be proven.
+    for n in (PSI_13, PSI_13 + 142):
+        with pytest.raises(DomainTooLarge):
+            is_prime(n)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from(SIEVE_PRIMES), st.sampled_from(SIEVE_PRIMES))
+def test_is_prime_false_on_products_of_two_primes(p, q):
+    assert not is_prime(p * q)
 
 
 def test_legendre_examples():
