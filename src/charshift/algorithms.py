@@ -138,7 +138,7 @@ def prepare_character_state(oracle: ShiftOracle, dim: int, rng=None):
     Every solve and analysis allocates its registers here, working on the
     (dim, 3) view of the value query's 3*dim complex128 amplitudes (48 MiB
     at dim = 2^20; about three such vectors live at once, beside the shared
-    uniform state and the oracle's 12-byte-per-slot index).  A dim above
+    uniform state and the oracle's 24-byte-per-slot index).  A dim above
     MAX_REGISTER_DIM raises DomainTooLarge before any allocation or query.
     """
     if dim > MAX_REGISTER_DIM:
@@ -151,7 +151,9 @@ def prepare_character_state(oracle: ShiftOracle, dim: int, rng=None):
         out = np.zeros_like(amps)
         np.divide(amps[::RESULT_DIM], math.sqrt(zero_prob), out=out[::RESULT_DIM])
         return False, _trusted(out), zero_prob
-    amps = amps / math.sqrt(float(np.sum(masses[:, 1:].ravel())))
+    nonzero_prob = float(np.sum(masses[:, 1:].ravel()))
+    del masses  # one 3*dim temporary fewer during the division
+    amps = amps / math.sqrt(nonzero_prob)
     amps[::RESULT_DIM] = 0
     np.negative(amps[2::RESULT_DIM], out=amps[2::RESULT_DIM])  # result_sign_phase's sign
     state = oracle.value_query_superposed(_trusted(amps), entangled=True)

@@ -25,7 +25,7 @@ import numpy as np
 from . import algorithms as alg
 from . import finite_field as ff
 from . import oracles as orc
-from .errors import CharshiftError, ConfigError, DomainTooLarge
+from .errors import CharshiftError, ConfigError, DomainTooLarge, UnsupportedParameters
 from .number_theory import (
     GAUSS_BRUTEFORCE_MAX,
     GaussSumSpec,
@@ -151,9 +151,9 @@ def _refuse_above(flag, value, limit):
 
 def _field_params(args):
     _refuse_oversized_field(args.p, args.r, alg.MAX_REGISTER_DIM - 1)  # q + 1 register slots
-    fld = _checked(_build_field, args.p, args.r, args.modulus)
-    if fld.p == 2:
+    if args.p == 2:
         raise ConfigError("character experiments need odd characteristic")
+    fld = _checked(_build_field, args.p, args.r, args.modulus)
     return {"p": fld.p, "r": fld.r, "modulus": ff.format_poly(fld.modulus)}
 
 
@@ -366,8 +366,9 @@ def _gauss_command(args) -> int:
         spec = GaussSumSpec.for_ring(_checked(factor_trial, args.zn))
     else:
         p, r = args.fq
-        if p != 2:  # characteristic two exits 3 from the closed form below
-            _refuse_oversized_field(p, r, GAUSS_BRUTEFORCE_MAX)
+        if p == 2 and r >= 1:  # the closed form's refusal, before the modulus search
+            raise UnsupportedParameters("no closed form in characteristic two")
+        _refuse_oversized_field(p, r, GAUSS_BRUTEFORCE_MAX)
         spec = GaussSumSpec.for_field(_checked(ff.make_field, p, r))
     closed = gauss_sum_closed_form(spec)
     brute = gauss_sum_bruteforce(spec)

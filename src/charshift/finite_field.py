@@ -5,7 +5,8 @@ first, always fully reduced, so tuple equality is element equality.  The
 module also provides the trace and the quadratic character of one element,
 and, for the whole field at once, read-only index-ordered arrays: the digit
 table, the trace coordinates x -> (Tr(x), Tr(xX), .., Tr(xX^(r-1))) and the
-character table, built with one vectorised multiply of digit rows.
+character table, built with one vectorised multiply of digit rows.  Scalar
+products and the irreducibility test reduce by the same monic fold as those arrays.
 """
 
 from dataclasses import dataclass
@@ -38,39 +39,21 @@ class FieldSpec:
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial helpers over Z_p (coefficient lists, constant term first)
+# scalar reduction, by the same monic fold as the whole-field arrays (_mul_digits)
 
 
-def _trim(poly):
-    d = len(poly)
-    while d > 0 and poly[d - 1] == 0:
-        d -= 1
-    return poly[:d]
-
-
-def _poly_mul(p, a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
-
-
-def _poly_divmod(p, a, b):
-    a = list(a)
-    deg_b = len(b) - 1
-    inv_lead = pow(b[-1], -1, p)
-    quot = [0] * max(len(a) - deg_b, 0)
-    for i in range(len(a) - 1, deg_b - 1, -1):
-        c = a[i] * inv_lead % p
+def _poly_mod(p, poly, monic):
+    """The d = len(monic) - 1 low coefficients of poly (at least d of them, constant
+    term first) modulo the monic polynomial, reduced mod p: from the top down, each
+    c * X^k with k >= d becomes c * X^(k-d) * (X^d - monic)."""
+    d = len(monic) - 1
+    rem = list(poly)
+    for k in range(len(rem) - 1, d - 1, -1):
+        c = rem[k] % p
         if c:
-            quot[i - deg_b] = c
-            for j, bj in enumerate(b):
-                a[i - deg_b + j] = (a[i - deg_b + j] - c * bj) % p
-    return _trim(quot), _trim(a)
+            for j in range(d):
+                rem[k - d + j] -= c * monic[j]
+    return tuple([c % p for c in rem[:d]])
 
 
 def is_irreducible(p: int, poly) -> bool:
@@ -81,9 +64,7 @@ def is_irreducible(p: int, poly) -> bool:
         raise ValueError("polynomial must be monic of degree >= 1")
     for d in range(1, deg // 2 + 1):
         for tail in _cartesian(range(p), repeat=d):
-            divisor = list(tail) + [1]
-            _, rem = _poly_divmod(p, poly, divisor)
-            if not rem:
+            if not any(_poly_mod(p, poly, tail + (1,))):
                 return False
     return True
 
@@ -160,9 +141,12 @@ def element_to_index(spec: FieldSpec, x: FieldElement) -> int:
 
 
 def _mul(spec, a, b):
-    prod = _poly_mul(spec.p, a, b)
-    _, rem = _poly_divmod(spec.p, prod, spec.modulus) if prod else ([], [])
-    return tuple(rem) + (0,) * (spec.r - len(rem))
+    prod = [0] * (2 * spec.r - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    return _poly_mod(spec.p, prod, spec.modulus)
 
 
 def ff_arith(spec: FieldSpec, a: FieldElement, b: FieldElement, kind: str) -> FieldElement:

@@ -14,7 +14,8 @@ Result register encoding: a function value v in {-1, 0, +1} is stored as the
 digit v mod 3 at the fast end of the index, i.e. composite index = x*3 + digit.
 The coherent update is digit <- (v - digit) mod 3, an involution that computes
 from a cleared register and clears a computed one.  Both modes are one gather
-or scatter through an int32 index cached per register base (see _index).
+or scatter through an intp index cached per register base (see _index), in
+numpy's own index type so that no query converts it.
 """
 
 import threading
@@ -35,7 +36,7 @@ from .qsim import NORM_TOL, StateVector, _trusted
 
 RESULT_DIM = 3
 # _STEP[v + 1, w] = (v - w) mod 3 - w, which moves slot x*3 + w to x*3 + (v - w) mod 3.
-_STEP = np.array([[2, 0, -2], [0, 1, -1], [1, -1, 0]], dtype=np.int32)
+_STEP = np.array([[2, 0, -2], [0, 1, -1], [1, -1, 0]], dtype=np.intp)
 
 VARIANT_LEGENDRE = "legendre"
 VARIANT_JACOBI = "jacobi"
@@ -104,7 +105,7 @@ class ShiftOracle:
         index = self._indices.get(base)
         if index is None:
             index = _STEP.take(self._values(base) + 1, axis=0).ravel()
-            index += np.arange(base * RESULT_DIM, dtype=np.int32)
+            index += np.arange(base * RESULT_DIM, dtype=np.intp)
             index.flags.writeable = False
             self._indices[base] = index
         return index

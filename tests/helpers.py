@@ -95,6 +95,24 @@ def char_by_enumeration(spec) -> list[int]:
     return [0] + [1 if i in squares else -1 for i in range(1, spec.q)]
 
 
+def field_product_by_long_division(spec, a, b) -> tuple[int, ...]:
+    """a * b in spec's field from the definition: the full product of the two
+    coefficient lists, then schoolbook long division by the modulus, dividing
+    by its leading coefficient and reducing mod p at every step."""
+    p, modulus = spec.p, spec.modulus
+    deg = len(modulus) - 1
+    rem = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            rem[i + j] = (rem[i + j] + x * y) % p
+    inv_lead = pow(modulus[-1], -1, p)
+    for top in range(len(rem) - 1, deg - 1, -1):
+        quot = rem[top] * inv_lead % p  # the quotient's coefficient of X^(top - deg)
+        for j, m in enumerate(modulus):
+            rem[top - deg + j] = (rem[top - deg + j] - quot * m) % p
+    return tuple(rem[:deg])
+
+
 def equal_up_to_global_phase(a, b, tol: float = 1e-9) -> bool:
     """True when a = u*b for some unit scalar u, within tol in 2-norm."""
     if a.dim != b.dim:

@@ -208,9 +208,10 @@ def test_admission_limit_exits_2(capsys, monkeypatch):
     assert code == 2
     assert capsys.readouterr().out == ""
 
-    # oversized fields are refused before make_field runs its modulus search
+    # oversized fields and characteristic two are refused before make_field
+    # runs its modulus search
     def no_field(*args):
-        raise AssertionError("make_field called for an oversized field")
+        raise AssertionError("make_field called for a refused field")
 
     monkeypatch.setattr(cli.ff, "make_field", no_field)
     for args in (["sqcp", "--p", "3", "--r", "14"],
@@ -218,12 +219,18 @@ def test_admission_limit_exits_2(capsys, monkeypatch):
                  ["oracle-dump", "--variant", "field", "--p", "3", "--r", "14"],
                  ["verify", "tft", "--p", "3", "--r", "7"],
                  ["verify", "tft", "--p", "1031", "--r", "1"],
-                 ["gauss", "--fq", "3", "14"]):
+                 ["gauss", "--fq", "3", "14"],
+                 ["sqcp", "--p", "2", "--r", "19"],
+                 ["oracle-dump", "--variant", "field", "--p", "2", "--r", "19"]):
         assert cli.main(args) == 2, args
         assert capsys.readouterr().out == ""
     # characteristic two keeps its exit 3 from the closed form
+    for r in ("3", "40"):
+        assert cli.main(["gauss", "--fq", "2", r]) == 3
+        assert capsys.readouterr().out == ""
+    # and a degree below one is still make_field's refusal
     monkeypatch.undo()
-    assert cli.main(["gauss", "--fq", "2", "3"]) == 3
+    assert cli.main(["gauss", "--fq", "2", "0"]) == 2
     assert capsys.readouterr().out == ""
 
 

@@ -1,3 +1,6 @@
+from itertools import product
+
+import numpy as np
 import pytest
 
 from charshift.errors import (
@@ -52,6 +55,14 @@ def test_default_modulus_is_deterministic():
     assert make_field(3, 2).modulus == (1, 0, 1)
     assert make_field(3, 2) == make_field(3, 2)
     assert make_field(2, 2).modulus == (1, 1, 1)
+    # The search order fixes element indices and CLI output, so pin it.
+    assert make_field(7, 3).modulus == (1, 0, 1, 1)
+    assert make_field(5, 4).modulus == (1, 0, 1, 1, 1)
+    assert make_field(3, 6).modulus == (1, 0, 0, 0, 1, 1, 1)
+    assert make_field(11, 3).modulus == (1, 0, 4, 1)
+    assert make_field(3, 7).modulus == (1, 0, 0, 0, 0, 1, 2, 1)
+    assert make_field(3, 10).modulus == (1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1)
+    assert make_field(2, 16).modulus == (1,) + (0,) * 10 + (1, 0, 1, 0, 1, 1)
 
 
 def test_is_irreducible_examples():
@@ -60,6 +71,37 @@ def test_is_irreducible_examples():
     assert not is_irreducible(3, (2, 0, 1))  # divisible by X + 1
     with pytest.raises(ValueError):
         is_irreducible(3, (1,))
+
+
+def _mobius(n):
+    out, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
+
+
+def _monic(p, deg):
+    return [tail + (1,) for tail in product(range(p), repeat=deg)]
+
+
+@pytest.mark.parametrize("p,r", [(p, r) for p in (2, 3, 5) for r in range(1, 5)]
+                         + [(7, r) for r in range(1, 4)])
+def test_irreducible_verdicts_match_gauss_count_and_products(p, r):
+    # Gauss's count of monic irreducibles of degree r, (1/r) sum_{d | r} mu(d) p^(r/d)
+    # (Lidl-Niederreiter, Finite Fields, Thm 3.25).
+    count = sum(_mobius(d) * p ** (r // d) for d in range(1, r + 1) if r % d == 0) // r
+    reducible = {
+        tuple(int(c) for c in np.convolve(f, g) % p)
+        for d in range(1, r // 2 + 1) for f in _monic(p, d) for g in _monic(p, r - d)
+    }
+    verdicts = {poly: is_irreducible(p, poly) for poly in _monic(p, r)}
+    assert sum(verdicts.values()) == count
+    assert {poly for poly, irreducible in verdicts.items() if not irreducible} == reducible
 
 
 def test_arith_gf9_examples(gf9):

@@ -63,6 +63,7 @@ from charshift.qsim import (
 )
 from helpers import (
     char_by_enumeration,
+    field_product_by_long_division,
     jacobi_full_period_verdict,
     jacobi_row_by_product,
     legendre_table,
@@ -404,6 +405,17 @@ def test_vectorised_multiply_matches_scalar(shape, data):
     assert outer.shape == (len(pairs), len(pairs), fld.r)
     assert np.diagonal(outer).T.tolist() == got
     assert _mul_digits(fld, digits[xs], digits[ys[0]]).tolist() == outer[:, 0].tolist()
+
+
+@checked
+@given(shape=st.sampled_from(ALL_FIELDS), data=st.data())
+def test_scalar_multiply_matches_long_division(shape, data):
+    fld = make_field(*shape)
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, fld.q - 1), st.integers(0, fld.q - 1)),
+                               min_size=1, max_size=20))
+    for x, y in pairs:
+        a, b = element_from_index(fld, x), element_from_index(fld, y)
+        assert ff_arith(fld, a, b, "mul") == field_product_by_long_division(fld, a, b)
 
 
 @checked
