@@ -58,12 +58,10 @@ from .number_theory import (
 )
 from .oracles import (
     ShiftOracle,
-    discard_result_register,
     field_oracle,
     jacobi_oracle,
     jacobi_unknown_oracle,
     legendre_oracle,
-    result_sign_phase,
 )
 from .qsim import (
     RegisterLayout,

@@ -21,6 +21,7 @@ import numpy as np
 from . import finite_field as ff
 from .errors import (
     DomainTooLarge,
+    DomainViolation,
     EvenInput,
     ModulusTooLargeForM,
     NotSquareFree,
@@ -46,12 +47,11 @@ from .oracles import (
     VARIANT_JACOBI_UNKNOWN,
     VARIANT_LEGENDRE,
     ShiftOracle,
-    discard_result_register,
 )
 from .qsim import (
     RegisterLayout,
     StateVector,
-    _check_state_norm,
+    _check_norm,
     _trusted,
     apply_phase,
     basis_state,
@@ -124,40 +124,47 @@ def prepare_character_state(oracle: ShiftOracle, dim: int, rng=None):
 
     Builds the uniform superposition, evaluates the oracle coherently, and
     measures whether the computed value is zero.  Returns a triple
-    (accepted, state, zero_probability):
+    (accepted, state, zero_probability), state on dim slots either way:
 
     - accepted: the nonzero branch was measured; the sign of each branch has
       been written into the phase, the register uncomputed with a second
       coherent query, and the register discarded.  Slots beyond the oracle
       domain are dummy positions that keep amplitude with phase +1.
-    - rejected: state is the collapsed zero-value branch, register attached.
+    - rejected: state is the collapsed zero-value branch.
 
     With rng=None nothing is sampled and the accepted branch is taken by
     projection, as the exact per-attempt analyses need.
 
-    Every solve and analysis allocates its registers here, working on the
-    (dim, 3) view of the value query's 3*dim complex128 amplitudes (48 MiB
-    at dim = 2^20; about three such vectors live at once, beside the shared
-    uniform state and the oracle's 24-byte-per-slot index).  A dim above
-    MAX_REGISTER_DIM raises DomainTooLarge before any allocation or query.
+    Every state here holds one result digit per slot, so the register is
+    the oracle's int8 digit column beside the shared 16-byte-per-slot
+    uniform amplitudes.  Every solve and analysis allocates its registers
+    here.  Its temporaries peak near 42 bytes per slot, 42 MiB at dim =
+    2^20: the 24-byte (dim, 3) mass table with the 3-byte mask and 8-byte
+    squared magnitudes it is built from, then 16-byte amplitudes, their
+    8-byte squared magnitudes and the 16-byte result, and 1-byte digit
+    columns.  A dim above MAX_REGISTER_DIM raises DomainTooLarge before any
+    allocation or query.
     """
     if dim > MAX_REGISTER_DIM:
         raise DomainTooLarge(f"register of dimension {dim} exceeds {MAX_REGISTER_DIM}")
-    amps = oracle.value_query_superposed(_uniform_state(dim)).amps
-    _check_state_norm(amps)
-    masses = (np.abs(amps) ** 2).reshape(dim, RESULT_DIM)  # summed in project's order
+    uniform = _uniform_state(dim).amps
+    digits = oracle.value_query_superposed(dim)
+    # summed in the order of the interleaved register x*3 + digit
+    masses = np.where(digits[:, None] == np.arange(RESULT_DIM),
+                      np.abs(uniform)[:, None] ** 2, 0.0)
     zero_prob = float(np.sum(masses[:, 0]))
     if rng is not None and rng.random() < zero_prob:
-        out = np.zeros_like(amps)
-        np.divide(amps[::RESULT_DIM], math.sqrt(zero_prob), out=out[::RESULT_DIM])
-        return False, _trusted(out), zero_prob
+        zero_state = np.where(digits == 0, uniform, 0) / math.sqrt(zero_prob)
+        return False, _trusted(zero_state), zero_prob
     nonzero_prob = float(np.sum(masses[:, 1:].ravel()))
-    del masses  # one 3*dim temporary fewer during the division
-    amps = amps / math.sqrt(nonzero_prob)
-    amps[::RESULT_DIM] = 0
-    np.negative(amps[2::RESULT_DIM], out=amps[2::RESULT_DIM])  # result_sign_phase's sign
-    state = oracle.value_query_superposed(_trusted(amps), entangled=True)
-    return True, discard_result_register(state), zero_prob
+    del masses
+    amps = uniform / math.sqrt(nonzero_prob)
+    amps[digits == 0] = 0
+    np.negative(amps, out=amps, where=digits == 2)  # the phase of a -1 value
+    if np.any(oracle.value_query_superposed(dim, digits)[amps != 0]):
+        raise DomainViolation("the second query left the result register computed")
+    mass = _check_norm(float(np.sum(np.abs(amps) ** 2)))  # divided out, as a discard does
+    return True, _trusted(amps / math.sqrt(mass)), zero_prob
 
 
 @lru_cache(maxsize=4)  # frozen, so shareable; np.full is not bit-equal (dim = 89)
@@ -270,6 +277,22 @@ def _verify_jacobi(oracle: ShiftOracle, moduli: FactoredOddSquarefree, cand: int
 # solvers
 
 
+def _check_oracle(oracle: ShiftOracle, variant: str, size: int):
+    """Refuse, before any query, an oracle other than the one a solve names."""
+    if oracle.variant != variant or oracle.domain_size != size:
+        raise ValueError(f"oracle is not a {variant} instance over a domain of {size}")
+
+
+def _check_jacobi(moduli: FactoredOddSquarefree, oracle: ShiftOracle):
+    n, big_m = moduli.n, oracle.domain_size
+    if oracle.variant != VARIANT_JACOBI_UNKNOWN:
+        _check_oracle(oracle, VARIANT_JACOBI, n)
+    elif big_m > MAX_REGISTER_DIM:
+        raise DomainTooLarge(f"hidden-modulus domain {big_m} exceeds {MAX_REGISTER_DIM}")
+    elif n * n >= big_m:
+        raise ModulusTooLargeForM(f"need n^2 < M but {n}^2 >= {big_m}")
+
+
 def _las_vegas(oracle, dim, rng, stage, decode, decode_zero, verify):
     """The attempt loop shared by every solver.
 
@@ -281,8 +304,11 @@ def _las_vegas(oracle, dim, rng, stage, decode, decode_zero, verify):
     decoder returns None to reject.  The first candidate that verify accepts
     is returned.  rng is drawn for preparation, then measurement; candidate
     checks are deterministic, though verify may run a nested solve.  Each
-    failed attempt is logged at DEBUG level.
+    failed attempt is logged at DEBUG level.  A missing rng is refused
+    before any query.
     """
+    if rng is None:
+        raise ValueError("a solve needs an rng")
     q0, c0 = oracle.phase_query_count, oracle.query_count
     for attempt in range(1, MAX_ATTEMPTS + 1):
         accepted, state, zero_prob = prepare_character_state(oracle, dim, rng)
@@ -298,7 +324,7 @@ def _las_vegas(oracle, dim, rng, stage, decode, decode_zero, verify):
             reason = "not decoded"
         else:
             index = measure(state, rng)
-            cand, reason = decode_zero(index // RESULT_DIM), "decode rejected"
+            cand, reason = decode_zero(index), "decode rejected"
         if cand is not None:
             if verify(cand):
                 dist = prob = None
@@ -331,8 +357,7 @@ def solve_slsp(p: int, oracle: ShiftOracle, rng) -> SolveReport:
     state goes through the Fourier stage, whose final distribution puts mass
     (p-1)/p on the negated shift.
     """
-    if oracle.variant != VARIANT_LEGENDRE or oracle.domain_size != p:
-        raise ValueError("oracle does not match the requested prime")
+    _check_oracle(oracle, VARIANT_LEGENDRE, p)
 
     def negate(x):
         return (-x) % p
@@ -360,14 +385,8 @@ def solve_sjsp(moduli: FactoredOddSquarefree, oracle: ShiftOracle, rng) -> Solve
     hidden-modulus oracle is refused, before any query, when n^2 >= M or
     M > MAX_REGISTER_DIM, where that check proves nothing.
     """
-    n, big_m = moduli.n, oracle.domain_size
-    if oracle.variant == VARIANT_JACOBI_UNKNOWN:
-        if big_m > MAX_REGISTER_DIM:
-            raise DomainTooLarge(f"hidden-modulus domain {big_m} exceeds {MAX_REGISTER_DIM}")
-        if n * n >= big_m:
-            raise ModulusTooLargeForM(f"need n^2 < M but {n}^2 >= {big_m}")
-    elif oracle.variant != VARIANT_JACOBI or big_m != n:
-        raise ValueError("oracle is not a Jacobi-symbol instance over Z_n")
+    _check_jacobi(moduli, oracle)
+    n = moduli.n
     layout = RegisterLayout(moduli.factors)
 
     def decode(index):
@@ -415,8 +434,7 @@ def solve_sjsp_unknown_n(big_m: int, oracle: ShiftOracle, rng) -> SolveReport:
     known-modulus solver, whose prefix check accepts only the true modulus
     and shift.  Invalid candidates are resampled.
     """
-    if oracle.variant != VARIANT_JACOBI_UNKNOWN or oracle.domain_size != big_m:
-        raise ValueError("oracle does not match the requested domain size")
+    _check_oracle(oracle, VARIANT_JACOBI_UNKNOWN, big_m)
     if math.isqrt(big_m) < 3:
         raise NoValidConvergent(f"no odd modulus >= 3 fits below sqrt({big_m})")
     candidates, solved = [], []
@@ -469,8 +487,7 @@ def solve_sqcp(fld: ff.FieldSpec, oracle: ShiftOracle, rng) -> SolveReport:
     dummy amplitude onto |0>, making the conditional final distribution
     one-hot at the negated shift.
     """
-    if oracle.variant != VARIANT_FIELD or oracle.domain_size != fld.q:
-        raise ValueError("oracle does not match the requested field")
+    _check_oracle(oracle, VARIANT_FIELD, fld.q)
 
     def negated_element(index):
         return ff.ff_neg(fld, ff.element_from_index(fld, index))
@@ -490,18 +507,21 @@ def solve_sqcp(fld: ff.FieldSpec, oracle: ShiftOracle, rng) -> SolveReport:
 
 def slsp_attempt_analysis(p: int, oracle: ShiftOracle):
     """(zero-branch probability, conditional final outcome distribution)."""
+    _check_oracle(oracle, VARIANT_LEGENDRE, p)
     _, state, zero_prob = prepare_character_state(oracle, p)
     return zero_prob, distribution(_legendre_stage(state, p))
 
 
 def sjsp_attempt_analysis(moduli: FactoredOddSquarefree, oracle: ShiftOracle):
     """Same, with the distribution over the factored register layout."""
+    _check_jacobi(moduli, oracle)
     _, state, zero_prob = prepare_character_state(oracle, moduli.n)
     return zero_prob, distribution(_sjsp_stage(state, moduli)), RegisterLayout(moduli.factors)
 
 
 def sqcp_attempt_analysis(fld: ff.FieldSpec, oracle: ShiftOracle):
     """(zero-branch probability, conditional final outcome distribution)."""
+    _check_oracle(oracle, VARIANT_FIELD, fld.q)
     _, state, zero_prob = prepare_character_state(oracle, fld.q + 1)
     return zero_prob, distribution(_sqcp_stage(state, fld))
 

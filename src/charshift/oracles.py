@@ -2,20 +2,20 @@
 
 An oracle hides its shift (and, for the unknown-modulus variant, the modulus
 itself) behind a counting surface: query() evaluates the scalar symbol at one
-point, and value_query_superposed() entangles a three-valued result register
+point, and value_query_superposed() updates a three-valued result register
 the way a reversible circuit would, so that applying it twice uncomputes it.
 The coherent counter keeps the name phase_query_count: a value query followed
-by result_sign_phase() is the phase query the algorithms need.
+by a sign flip on the result is the phase query the algorithms need.
 
 Coherent queries read one whole-domain table from the constructor's builder: for
 Jacobi a product of per-prime Legendre rows over a period, point by point otherwise.
 
 Result register encoding: a function value v in {-1, 0, +1} is stored as the
-digit v mod 3 at the fast end of the index, i.e. composite index = x*3 + digit.
-The coherent update is digit <- (v - digit) mod 3, an involution that computes
-from a cleared register and clears a computed one.  Both modes are one gather
-or scatter through an intp index cached per register base (see _index), in
-numpy's own index type so that no query converts it.
+digit v mod 3.  A coherent query acts on states sum_x a_x |x>|g(x)>, with one
+digit per slot, so the register is carried as a column of int8 digits beside
+the amplitudes, which never pass through the oracle.  The update is
+g <- (v - g) mod 3, an involution that computes from a cleared register and
+clears a computed one.
 """
 
 import threading
@@ -32,11 +32,8 @@ from .errors import (
     ShiftOutOfRange,
 )
 from .number_theory import _jacobi_row, factor_trial, is_odd_prime, jacobi, legendre
-from .qsim import NORM_TOL, StateVector, _trusted
 
 RESULT_DIM = 3
-# _STEP[v + 1, w] = (v - w) mod 3 - w, which moves slot x*3 + w to x*3 + (v - w) mod 3.
-_STEP = np.array([[2, 0, -2], [0, 1, -1], [1, -1, 0]], dtype=np.intp)
 
 VARIANT_LEGENDRE = "legendre"
 VARIANT_JACOBI = "jacobi"
@@ -54,7 +51,6 @@ class ShiftOracle:
         self._tabulate = tabulate
         self._field = field
         self._table = None
-        self._indices = {}  # register base -> read-only uncompute index
         self._lock = threading.Lock()
         self._query_count = 0
         self._phase_query_count = 0
@@ -99,59 +95,23 @@ class ShiftOracle:
         out[:upto] = self._table[:upto]
         return out
 
-    def _index(self, base: int) -> np.ndarray:
-        # index[x*3 + w] = x*3 + (v(x) - w) mod 3 over base slots: the entangled
-        # query gathers amps[index], the plain one scatters amps[x] to index[x*3].
-        index = self._indices.get(base)
-        if index is None:
-            index = _STEP.take(self._values(base) + 1, axis=0).ravel()
-            index += np.arange(base * RESULT_DIM, dtype=np.intp)
-            index.flags.writeable = False
-            self._indices[base] = index
-        return index
-
-    def value_query_superposed(self, state: StateVector, entangled: bool = False) -> StateVector:
+    def value_query_superposed(self, dim: int, digits=None) -> np.ndarray:
         """Coherently evaluate into the result register (one coherent query).
 
-        With entangled=False the input ranges over plain domain indices and a
-        fresh cleared register is attached, tripling the dimension.  With
-        entangled=True the input already carries the register and the update
-        digit <- (value - digit) mod 3 is applied, so a second call uncomputes
-        the first.
+        The register holds one digit per slot of a dim-slot register: digits,
+        or a cleared register (all 0) when digits is None.  Returns the
+        updated digits (value - digit) mod 3 as a fresh read-only int8 array,
+        so a second call on the first call's output clears the register.
         """
-        if entangled:
-            if state.dim % RESULT_DIM:
-                raise DomainViolation("entangled state dimension must be a multiple of 3")
-            out = state.amps[self._index(state.dim // RESULT_DIM)]
-        else:
-            out = np.zeros(state.dim * RESULT_DIM, dtype=np.complex128)
-            out[self._index(state.dim)[::RESULT_DIM]] = state.amps
+        values = self._values(dim)
+        if digits is not None:
+            if np.shape(digits) != (dim,):
+                raise DomainViolation(f"{np.shape(digits)} digits for a {dim}-slot register")
+            values -= digits
+        out = values % RESULT_DIM
+        out.flags.writeable = False
         self._bump("_phase_query_count")
-        return _trusted(out)
-
-
-def result_sign_phase(state: StateVector) -> StateVector:
-    """Flip the sign of branches whose result register holds -1.
-
-    Register-local and oracle-free: the phase is read off the already
-    computed digit, with the zero digit treated as +1.
-    """
-    if state.dim % RESULT_DIM:
-        raise DomainViolation("state dimension must be a multiple of 3")
-    out = state.amps.copy()
-    np.negative(out[2::RESULT_DIM], out=out[2::RESULT_DIM])
-    return _trusted(out)
-
-
-def discard_result_register(state: StateVector) -> StateVector:
-    """Drop a result register that has been uncomputed back to the zero digit."""
-    if state.dim % RESULT_DIM:
-        raise DomainViolation("state dimension must be a multiple of 3")
-    col0 = state.amps[0::RESULT_DIM]
-    mass = float(np.sum(np.abs(col0) ** 2))
-    if not abs(mass - 1.0) <= NORM_TOL:
-        raise DomainViolation(f"result register still carries mass {1 - mass!r}")
-    return _trusted(col0 / np.sqrt(mass))
+        return out
 
 
 def _is_integer(value) -> bool:

@@ -8,8 +8,9 @@ sub-register of a composite register, and the trace transform over F_q.  The
 forward transform uses the +2*pi*i sign convention.  The phase, permutation
 and projection kernels take one array entry per basis index.  All operations
 return fresh states and never mutate their input.  StateVector and normalized
-copy and norm-check their input, kernels freeze their fresh output, and project,
-measure and the result-register readers in oracles and algorithms check norms.
+copy and norm-check their input, kernels freeze their fresh output, and project
+and measure check norms.  The oracles' three-valued result register is no state
+here: it stays a digit column beside the amplitudes (see oracles).
 """
 
 import math

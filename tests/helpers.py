@@ -12,8 +12,8 @@ import numpy as np
 from charshift.errors import DimensionMismatch, NotSquareFree
 from charshift.finite_field import element_from_index, element_to_index, ff_arith
 from charshift.number_theory import factor_trial
-from charshift.oracles import RESULT_DIM, discard_result_register, result_sign_phase
-from charshift.qsim import basis_state, project, qft
+from charshift.oracles import RESULT_DIM
+from charshift.qsim import StateVector, basis_state, project, qft
 
 _legendre_tables: dict = {}
 
@@ -127,19 +127,31 @@ def equal_up_to_global_phase(a, b, tol: float = 1e-9) -> bool:
     return bool(np.linalg.norm(a.amps - unit * b.amps) <= tol)
 
 
-def result_zero_mask(dim: int) -> np.ndarray:
-    """Mask of the composite indices whose computed function value is 0."""
-    return np.arange(dim) % RESULT_DIM == 0
-
-
 def prepare_character_state_eager(oracle, dim, rng=None):
-    """Reference for algorithms.prepare_character_state that projects onto
-    both result branches on every attempt, whichever one is returned."""
-    state = oracle.value_query_superposed(qft(basis_state(dim, 0)))
-    zero = result_zero_mask(state.dim)
-    zero_prob, zero_state = project(state, zero)
+    """Reference for algorithms.prepare_character_state on the full register
+    of 3*dim slots x*3 + digit.
+
+    The function is read through oracle's classical queries, with +1 on dummy
+    slots past the domain, so this spends classical queries and no coherent
+    ones.  Both result branches are projected on every attempt, whichever one
+    is returned; the sign flip, the uncompute and the discard are written out
+    here.  Either branch is returned on dim slots.
+    """
+    values = np.array([oracle.query(x) if x < oracle.domain_size else 1 for x in range(dim)])
+    slot, digit = np.divmod(np.arange(dim * RESULT_DIM), RESULT_DIM)
+    computed = np.zeros(dim * RESULT_DIM, dtype=np.complex128)
+    computed[np.arange(dim) * RESULT_DIM + values % RESULT_DIM] = qft(basis_state(dim, 0)).amps
+    computed = StateVector(computed)
+    zero = digit == 0
+    zero_prob, zero_state = project(computed, zero)
     if rng is not None and rng.random() < zero_prob:
-        return False, zero_state, zero_prob
-    _, state = project(state, ~zero)
-    state = oracle.value_query_superposed(result_sign_phase(state), entangled=True)
-    return True, discard_result_register(state), zero_prob
+        return False, StateVector(zero_state.amps[zero]), zero_prob
+    _, state = project(computed, ~zero)
+    signed = state.amps.copy()
+    signed[digit == 2] = -signed[digit == 2]  # the phase of a -1 value
+    cleared = np.empty_like(signed)
+    cleared[slot * RESULT_DIM + (values[slot] - digit) % RESULT_DIM] = signed
+    kept = cleared[zero]
+    mass = float(np.sum(np.abs(kept) ** 2))
+    assert abs(mass - 1) <= 1e-9, "the uncompute left the result register computed"
+    return True, StateVector(kept / np.sqrt(mass)), zero_prob

@@ -166,6 +166,7 @@ def test_sjsp_collapse_rate_statistics():
     (partial(legendre_oracle, 101, shift=5), 101),  # FFT uniform state not constant
     (partial(field_oracle, make_field(3, 2), shift=(1, 2)), 10),  # dummy slot at q
     (partial(jacobi_unknown_oracle, 21, 1 << 14, shift=4), 1 << 14),
+    (partial(jacobi_unknown_oracle, 21, 1024, shift=4), 21),  # the sub-solve's register
 ])
 def test_lazy_zero_branch_matches_eager_preparation(make_oracle, dim):
     def bits(prepared):
@@ -178,7 +179,8 @@ def test_lazy_zero_branch_matches_eager_preparation(make_oracle, dim):
         oracle, ref_oracle = make_oracle(), make_oracle()
         got = prepare_character_state(oracle, dim, rng)
         assert bits(got) == bits(prepare_character_state_eager(ref_oracle, dim, ref_rng))
-        assert oracle.phase_query_count == ref_oracle.phase_query_count
+        # two coherent queries per accepted attempt, one per rejected one
+        assert (oracle.phase_query_count, oracle.query_count) == (1 + got[0], 0)
         assert rng.random() == ref_rng.random()  # the same draws were taken
         branches.add(got[0])
     assert branches == {True, False}
@@ -399,6 +401,30 @@ def test_solver_oracle_mismatch_rejected():
     with pytest.raises(ValueError):
         solve_sjsp(factor_trial(15), oracle, np.random.default_rng(0))
     assert oracle.phase_query_count == 0 and oracle.query_count == 0
+
+
+@pytest.mark.parametrize("analysis,instance,make_oracle", [
+    (slsp_attempt_analysis, 11, partial(legendre_oracle, 7, shift=3)),
+    (sjsp_attempt_analysis, factor_trial(15), partial(jacobi_oracle, 21, shift=3)),
+    (sqcp_attempt_analysis, make_field(3, 2), partial(legendre_oracle, 7, shift=3)),
+], ids=["slsp", "sjsp", "sqcp"])
+def test_attempt_analysis_oracle_mismatch_rejected(analysis, instance, make_oracle):
+    oracle = make_oracle()
+    with pytest.raises(ValueError):
+        analysis(instance, oracle)
+    assert oracle.phase_query_count == 0 and oracle.query_count == 0
+
+
+def test_solvers_refuse_a_missing_rng_before_any_query():
+    for solve, instance, oracle in (
+        (solve_slsp, 7, legendre_oracle(7, shift=3)),
+        (solve_sjsp, factor_trial(15), jacobi_oracle(15, shift=2)),
+        (solve_sjsp_unknown_n, 1024, jacobi_unknown_oracle(21, 1024, shift=4)),
+        (solve_sqcp, make_field(3, 2), field_oracle(make_field(3, 2), shift=(1, 2))),
+    ):
+        with pytest.raises(ValueError):
+            solve(instance, oracle, None)
+        assert oracle.phase_query_count == 0 and oracle.query_count == 0
 
 
 @pytest.mark.parametrize("shift", [0, 1, 17, 52, 104])

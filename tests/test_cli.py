@@ -1,4 +1,5 @@
 import concurrent.futures
+import copy
 import json
 import os
 import subprocess
@@ -6,8 +7,9 @@ import sys
 
 import pytest
 
-from charshift import cli
+from charshift import algorithms, cli
 from charshift.algorithms import MAX_REGISTER_DIM
+from helpers import prepare_character_state_eager
 
 BASE = [sys.executable, "-m", "charshift.cli"]
 
@@ -332,3 +334,26 @@ def test_pinned_outcomes_csv(capsys):
                     for t, (s, _, _, a, c, k, ok) in enumerate(trials)]
     summary = json.loads(summary.removeprefix("# summary "))
     assert summary["exact_attempt_probability"] == pytest.approx(exact, abs=1e-9)
+
+
+@pytest.mark.parametrize("args", [
+    ["slsp", "--p", "13", "--trials", "4", "--seed", "32"],  # trial 2 takes the zero branch
+    ["sqcp", "--p", "3", "--r", "2", "--trials", "4", "--seed", "1"],  # so does trial 2 here
+    ["sjsp", "--n", "1155", "--trials", "6", "--seed", "3"],
+    ["sjsp-unknown", "--n", "21", "--M", "16384", "--trials", "6", "--seed", "4"],
+], ids=lambda args: args[0])
+def test_stdout_matches_eager_preparation(capsys, monkeypatch, args):
+    assert cli.main(args) == 0
+    lazy = capsys.readouterr().out
+
+    def eager(oracle, dim, rng=None):
+        # The reference reads a copy of the oracle classically, so the solve's
+        # oracle is charged the coherent queries the circuit spends instead.
+        prepared = prepare_character_state_eager(copy.copy(oracle), dim, rng)
+        for _ in range(1 + prepared[0]):
+            oracle.value_query_superposed(dim)
+        return prepared
+
+    monkeypatch.setattr(algorithms, "prepare_character_state", eager)
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out == lazy

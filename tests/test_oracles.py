@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from charshift.algorithms import prepare_character_state
 from charshift.errors import (
     DomainViolation,
     EvenCharacteristic,
@@ -14,15 +15,12 @@ from charshift.errors import (
 from charshift.finite_field import element_to_index, make_field
 from charshift.number_theory import jacobi, legendre
 from charshift.oracles import (
-    discard_result_register,
     field_oracle,
     jacobi_oracle,
     jacobi_unknown_oracle,
     legendre_oracle,
-    result_sign_phase,
 )
-from charshift.qsim import basis_state, distribution, project, qft
-from helpers import result_zero_mask
+from charshift.qsim import distribution
 
 
 def test_legendre_oracle_examples():
@@ -121,9 +119,9 @@ def test_query_counters():
     oracle.query(1)
     oracle.query(2)
     assert oracle.query_count == 2
-    tagged = oracle.value_query_superposed(qft(basis_state(7, 0)))
+    digits = oracle.value_query_superposed(7)
     assert oracle.phase_query_count == 1
-    oracle.value_query_superposed(tagged, entangled=True)
+    oracle.value_query_superposed(7, digits)
     assert oracle.phase_query_count == 2
     assert oracle.query_count == 2  # coherent calls don't touch the classical counter
 
@@ -139,54 +137,51 @@ def test_secrecy_of_public_surface():
 
 def test_value_query_nonzero_mass():
     oracle = jacobi_oracle(15, shift=0)
-    tagged = oracle.value_query_superposed(qft(basis_state(15, 0)))
-    prob, _ = project(tagged, ~result_zero_mask(tagged.dim))
-    assert prob == pytest.approx(8 / 15)  # phi(15)/15
+    digits = oracle.value_query_superposed(15)
+    assert np.count_nonzero(digits) == 8  # phi(15): mass 8/15 under the uniform state
 
 
 def test_value_query_on_basis_state():
     oracle = legendre_oracle(7, shift=3)
-    for x in range(7):
-        tagged = oracle.value_query_superposed(basis_state(7, x))
-        digit = legendre(x + 3, 7) % 3
-        assert tagged.amps[x * 3 + digit] == 1
+    digits = oracle.value_query_superposed(7)
+    # |x>|0> goes to |x>|value mod 3>
+    assert digits.tolist() == [legendre(x + 3, 7) % 3 for x in range(7)]
 
 
 def test_value_query_involution_uncomputes():
     oracle = jacobi_oracle(15, shift=4)
-    state = qft(basis_state(15, 0))
-    tagged = oracle.value_query_superposed(state)
-    untagged = oracle.value_query_superposed(tagged, entangled=True)
-    recovered = discard_result_register(untagged)
-    assert np.max(np.abs(recovered.amps - state.amps)) < 1e-12
-
-
-def test_discard_requires_cleared_register():
-    oracle = legendre_oracle(7, shift=3)
-    tagged = oracle.value_query_superposed(qft(basis_state(7, 0)))
+    digits = oracle.value_query_superposed(15)
+    assert np.any(digits)
+    assert not np.any(oracle.value_query_superposed(15, digits))
     with pytest.raises(DomainViolation):
-        discard_result_register(tagged)
+        oracle.value_query_superposed(15, digits[:-1])
+    assert oracle.phase_query_count == 2
+
+
+def test_discard_requires_cleared_register(monkeypatch):
+    # A second query that leaves the value computed cannot be discarded.
+    oracle = legendre_oracle(7, shift=3)
+    compute = oracle.value_query_superposed
+    monkeypatch.setattr(oracle, "value_query_superposed", lambda dim, digits=None: compute(dim))
+    with pytest.raises(DomainViolation):
+        prepare_character_state(oracle, 7)
 
 
 def test_result_sign_phase():
-    oracle = legendre_oracle(7, shift=0)
-    tagged = oracle.value_query_superposed(qft(basis_state(7, 0)))
-    signed = result_sign_phase(tagged)
-    # squares mod 7 are {1, 2, 4}; the zero value keeps phase +1
-    want = [1, 1, 1, -1, 1, -1, -1]
-    for x in range(7):
-        digit = legendre(x, 7) % 3
-        assert signed.amps[x * 3 + digit] == pytest.approx(want[x] / math.sqrt(7))
+    accepted, state, _ = prepare_character_state(legendre_oracle(7, shift=0), 7)
+    # squares mod 7 are {1, 2, 4}; the zero value's slot is emptied
+    want = [0, 1, 1, -1, 1, -1, -1]
+    assert accepted
+    assert np.max(np.abs(state.amps - np.array(want) / math.sqrt(6))) < 1e-12
 
 
 def test_value_query_dummy_slot_reads_plus_one():
     gf9 = make_field(3, 2)
     oracle = field_oracle(gf9, shift=(1, 0))
-    tagged = oracle.value_query_superposed(qft(basis_state(10, 0)))
+    digits = oracle.value_query_superposed(10)
     # the padding slot behaves like a +1 value: digit 1
-    assert abs(tagged.amps[9 * 3 + 1]) == pytest.approx(1 / math.sqrt(10))
-    prob, _ = project(tagged, result_zero_mask(tagged.dim))
-    assert prob == pytest.approx(1 / 10)
+    assert digits[9] == 1
+    assert np.count_nonzero(digits == 0) == 1  # zero-branch mass 1/10
 
 
 def test_query_domain_checks():
@@ -209,5 +204,6 @@ def test_query_domain_checks():
 
 def test_value_query_distribution_sums():
     oracle = jacobi_oracle(33, shift=5)
-    tagged = oracle.value_query_superposed(qft(basis_state(33, 0)))
-    assert abs(distribution(tagged).sum() - 1) < 1e-9
+    _, state, zero_prob = prepare_character_state(oracle, 33)
+    assert zero_prob == pytest.approx(1 - 20 / 33)  # 1 - phi(33)/33
+    assert abs(distribution(state).sum() - 1) < 1e-9

@@ -42,12 +42,10 @@ from charshift.number_theory import (
     legendre,
 )
 from charshift.oracles import (
-    discard_result_register,
     field_oracle,
     jacobi_oracle,
     jacobi_unknown_oracle,
     legendre_oracle,
-    result_sign_phase,
 )
 from charshift.qsim import (
     RegisterLayout,
@@ -67,7 +65,6 @@ from helpers import (
     jacobi_full_period_verdict,
     jacobi_row_by_product,
     legendre_table,
-    result_zero_mask,
 )
 
 ODD_PRIMES = [p for p in range(3, 2000) if is_prime(p)]
@@ -177,15 +174,18 @@ def test_trace_transform_freezes_fresh_unit_outputs(shape, pad, seed):
 @given(n=odd_squarefree(500), data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_result_register_kernels_freeze_fresh_unit_outputs(n, data, seed):
     oracle = jacobi_oracle(n, shift=data.draw(st.integers(0, n - 1)))
-    state = random_state(data.draw(st.integers(n, n + 3)), seed)  # a unit is in range
-    computed = oracle.value_query_superposed(state)
-    assert_fresh_frozen_unit(computed, state.amps)
-    _, branch = project(computed, ~result_zero_mask(computed.dim))
-    signed = result_sign_phase(branch)
-    assert_fresh_frozen_unit(signed, branch.amps)
-    cleared = oracle.value_query_superposed(signed, entangled=True)
-    assert_fresh_frozen_unit(cleared, signed.amps)
-    assert_fresh_frozen_unit(discard_result_register(cleared), cleared.amps)
+    dim = data.draw(st.integers(n, n + 3))  # a unit is in range
+    computed = oracle.value_query_superposed(dim)
+    cleared = oracle.value_query_superposed(dim, computed)
+    for digits in (computed, cleared):
+        assert digits.dtype == np.int8 and digits.shape == (dim,)
+        assert not digits.flags.writeable
+    assert not np.shares_memory(cleared, computed)
+    assert not np.shares_memory(oracle.value_query_superposed(dim), computed)
+    uniform = _uniform_state(dim).amps
+    for rng in (None, np.random.default_rng(seed)):
+        _, prepared, _ = prepare_character_state(oracle, dim, rng)
+        assert_fresh_frozen_unit(prepared, uniform)
 
 
 @checked
@@ -319,22 +319,23 @@ def test_hidden_modulus_prefix_check_accepts_exactly_the_modulus_and_shift(n, da
         assert oracle.query_count == min(CERTIFICATE_WIDTH, big_m)
 
 
+def random_digits(dim, seed):
+    return np.random.default_rng(seed).integers(0, 3, size=dim, dtype=np.int8)
+
+
 @checked
 @given(n=odd_squarefree(2000), data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_entangled_value_query_is_an_involution(n, data, seed):
     s = data.draw(st.integers(0, n - 1))
     base = data.draw(st.integers(1, n + 3))
     oracle = jacobi_oracle(n, shift=s)
-    state = random_state(base * 3, seed)
-    once = oracle.value_query_superposed(state, entangled=True)
+    digits = random_digits(base, seed)
+    once = oracle.value_query_superposed(base, digits)
     # digit <- (value - digit) mod 3, written out index by index
-    digits = np.array([jacobi(x + s, n) % 3 if x < n else 1 for x in range(base)])
-    xs, vs = np.divmod(np.arange(base * 3), 3)
-    want = np.empty_like(state.amps)
-    want[xs * 3 + (digits[xs] - vs) % 3] = state.amps
-    assert np.array_equal(once.amps, want)
-    twice = oracle.value_query_superposed(once, entangled=True)
-    assert np.array_equal(twice.amps, state.amps)
+    values = [jacobi(x + s, n) if x < n else 1 for x in range(base)]
+    assert once.tolist() == [(v - g) % 3 for v, g in zip(values, digits.tolist())]
+    twice = oracle.value_query_superposed(base, once)
+    assert np.array_equal(twice, digits)
     assert oracle.phase_query_count == 2
 
 
@@ -347,17 +348,14 @@ def test_plain_value_query_per_base_and_shared_uniform_state(n, data, seed):
     # base M, base n and a base past the domain, in any order, on one oracle
     bases = data.draw(st.permutations([big_m, n, big_m + data.draw(st.integers(1, 3))]))
     for base in bases:
-        state = random_state(base, seed)
-        once = oracle.value_query_superposed(state)
-        # amps[x] moves to x*3 + (value mod 3), written out index by index
-        want = np.zeros(base * 3, dtype=np.complex128)
-        for x in range(base):
-            want[x * 3 + (jacobi(x + s, n) if x < big_m else 1) % 3] = state.amps[x]
-        assert np.array_equal(once.amps, want)
-        twice = oracle.value_query_superposed(once, entangled=True)
-        assert np.array_equal(twice.amps[::3], state.amps)
-        assert not np.any(twice.amps.reshape(base, 3)[:, 1:])
-    assert oracle.phase_query_count == 6
+        once = oracle.value_query_superposed(base)
+        # a cleared register takes value mod 3, written out index by index
+        assert once.tolist() == [(jacobi(x + s, n) if x < big_m else 1) % 3 for x in range(base)]
+        twice = oracle.value_query_superposed(base, once)
+        assert not np.any(twice)
+        digits = random_digits(base, seed)
+        assert np.array_equal(oracle.value_query_superposed(base, digits), (once - digits) % 3)
+    assert oracle.phase_query_count == 9
 
     base = bases[0]
     uniform = _uniform_state(base)
