@@ -14,7 +14,7 @@ import logging
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -72,8 +72,12 @@ PERIOD_PROBES = 20
 # Largest register a solve or analysis may allocate; see prepare_character_state.
 MAX_REGISTER_DIM = 1 << 20
 
-# Leading points that identify a hidden modulus and shift; see _verify_jacobi.
-CERTIFICATE_WIDTH = 58
+# Leading points that identify a hidden modulus and shift, as (n, width) steps:
+# from n on, width points tell apart J(x + c, m) for every odd square-free m
+# below the next step's n and every shift c; see _verify_jacobi.
+_CERTIFICATE_STEPS = ((3, 1), (5, 4), (11, 6), (17, 8), (19, 9), (29, 12), (37, 14),
+                      (57, 15), (67, 22), (137, 26), (163, 34), (347, 38), (359, 46),
+                      (417, 58))
 
 # Largest field tft_matrix_deviation accepts; see its docstring.
 TFT_MAX_Q = 1 << 10
@@ -243,16 +247,25 @@ def _verify_field(oracle: ShiftOracle, fld: ff.FieldSpec, cand) -> bool:
     return oracle.query(ff.element_to_index(fld, ff.ff_neg(fld, cand))) == 0
 
 
-def _verify_jacobi(oracle: ShiftOracle, moduli: FactoredOddSquarefree, cand: int) -> bool:
+def _certificate_width(big_m: int) -> int:
+    """Leading points of a Z_M oracle that identify any admitted modulus and shift."""
+    n_max = math.isqrt(big_m - 1)
+    return max(width for n, width in _CERTIFICATE_STEPS if n <= n_max)
+
+
+def _verify_jacobi(oracle: ShiftOracle, moduli: FactoredOddSquarefree, cand: int,
+                   ask) -> bool:
+    # ask answers the classical probes: oracle.query, or a solve's answer memo.
     n, factors = moduli.n, moduli.factors
     k = len(factors)
     if oracle.variant == VARIANT_JACOBI_UNKNOWN:
         # The oracle is J(x + s, n0) for a hidden n0 with n0^2 < M; n is only a
-        # guess, and solve_sjsp admits only n^2 < M <= MAX_REGISTER_DIM.  For
-        # odd square-free n, n0 <= 1023 and any shifts, J(x + c, n) = J(x + s, n0)
-        # at every x < min(CERTIFICATE_WIDTH, M) only when (n, c) = (n0, s).
-        width = min(CERTIFICATE_WIDTH, oracle.domain_size)
-        return all(oracle.query(x) == jacobi(x + cand, n) for x in range(width))
+        # guess, and solve_sjsp admits only n^2 < M <= MAX_REGISTER_DIM.  So n
+        # and n0 are odd, square-free and at most isqrt(M - 1), and for any
+        # shifts J(x + c, n) = J(x + s, n0) at every x < _certificate_width(M)
+        # only when (n, c) = (n0, s).  That width is below M for every M >= 10.
+        width = _certificate_width(oracle.domain_size)
+        return all(ask(x) == jacobi(x + cand, n) for x in range(width))
     # The factors p_0 < ... < p_(k-1) are checked in order, prime j with k - j
     # points x built by CRT: -c at p_j, 1 - c at every checked prime (nonzero
     # once c agrees with the shift there), and one t in [0, k - j) at every
@@ -262,12 +275,12 @@ def _verify_jacobi(oracle: ShiftOracle, moduli: FactoredOddSquarefree, cand: int
     # k(k+1)/2 queries.  The argument needs p_(j+1) >= k - j; otherwise
     # (small factors, as in 255255) compare one full period.
     if any(factors[j + 1] < k - j for j in range(k - 1)):
-        return all(oracle.query(x) == jacobi(x + cand, n) for x in range(n))
+        return all(ask(x) == jacobi(x + cand, n) for x in range(n))
     checked = []
     for j, p in enumerate(factors):
         head = checked + [-cand % p]
         for t in range(k - j):
-            if oracle.query(crt_compose(head + [t] * (k - j - 1), moduli)) != 0:
+            if ask(crt_compose(head + [t] * (k - j - 1), moduli)) != 0:
                 return False
         checked.append((1 - cand) % p)
     return True
@@ -380,11 +393,17 @@ def solve_sjsp(moduli: FactoredOddSquarefree, oracle: ShiftOracle, rng) -> Solve
     prime stage runs on every factor register and the negated per-factor
     outcomes recompose to the shift.  A candidate costs k(k+1)/2 classical
     queries for a known-modulus oracle over Z_n with k prime factors, or n
-    when small factors rule out that check, and at most CERTIFICATE_WIDTH
-    for a hidden-modulus oracle over Z_M (see _verify_jacobi).  A
-    hidden-modulus oracle is refused, before any query, when n^2 >= M or
-    M > MAX_REGISTER_DIM, where that check proves nothing.
+    when small factors rule out that check, and for a hidden-modulus oracle
+    over Z_M the leading _certificate_width(M) points, 58 at most (see
+    _verify_jacobi).  A hidden-modulus oracle is refused, before any query,
+    when n^2 >= M or M > MAX_REGISTER_DIM, where that check proves nothing.
     """
+    return _solve_sjsp(moduli, oracle, rng, oracle.query)
+
+
+def _solve_sjsp(moduli: FactoredOddSquarefree, oracle: ShiftOracle, rng, ask) -> SolveReport:
+    # solve_sjsp with the classical probes answered by ask, so that a
+    # hidden-modulus solve can share one answer memo across its sub-solves.
     _check_jacobi(moduli, oracle)
     n = moduli.n
     layout = RegisterLayout(moduli.factors)
@@ -398,7 +417,7 @@ def solve_sjsp(moduli: FactoredOddSquarefree, oracle: ShiftOracle, rng) -> Solve
         stage=lambda state: _sjsp_stage(state, moduli),
         decode=decode,
         decode_zero=None,
-        verify=lambda cand: _verify_jacobi(oracle, moduli, cand),
+        verify=lambda cand: _verify_jacobi(oracle, moduli, cand, ask),
     )
 
 
@@ -418,11 +437,13 @@ def best_convergent_denominator(i: int, big_m: int) -> int:
     return best_convergent_fraction(i, big_m).denominator
 
 
-def _period_holds(oracle: ShiftOracle, period: int) -> bool:
+def _period_holds(oracle: ShiftOracle, period: int, ask) -> bool:
     # A cheap filter that spares the sub-solve's coherent queries on wrong
-    # candidates; the sub-solve's own check is what proves a modulus.
+    # candidates; the sub-solve's own check is what proves a modulus.  Both
+    # read through the solve's answer memo ask, so the filter's leading points
+    # are also the certificate's and each point is asked once.
     top = min(PERIOD_PROBES, oracle.domain_size - period)
-    return all(oracle.query(x) == oracle.query(x + period) for x in range(top))
+    return all(ask(x) == ask(x + period) for x in range(top))
 
 
 def solve_sjsp_unknown_n(big_m: int, oracle: ShiftOracle, rng) -> SolveReport:
@@ -432,12 +453,15 @@ def solve_sjsp_unknown_n(big_m: int, oracle: ShiftOracle, rng) -> SolveReport:
     candidate off the continued-fraction expansion of outcome/M, validates it
     with periodicity probes and square-freeness, and hands the oracle to the
     known-modulus solver, whose prefix check accepts only the true modulus
-    and shift.  Invalid candidates are resampled.
+    and shift.  Invalid candidates are resampled.  The period probes and every
+    prefix check share one memo of oracle answers that lives for this solve,
+    so no point is asked twice.
     """
     _check_oracle(oracle, VARIANT_JACOBI_UNKNOWN, big_m)
     if math.isqrt(big_m) < 3:
         raise NoValidConvergent(f"no odd modulus >= 3 fits below sqrt({big_m})")
     candidates, solved = [], []
+    ask = cache(oracle.query)
 
     def decode(index):
         den = best_convergent_denominator(index, big_m)
@@ -450,10 +474,10 @@ def solve_sjsp_unknown_n(big_m: int, oracle: ShiftOracle, rng) -> SolveReport:
             return None
 
     def verify(moduli):
-        if not _period_holds(oracle, moduli.n):
+        if not _period_holds(oracle, moduli.n, ask):
             return False
         try:
-            solved.append(solve_sjsp(moduli, oracle, rng))
+            solved.append(_solve_sjsp(moduli, oracle, rng, ask))
         except RetriesExhausted:
             return False
         return True

@@ -129,9 +129,13 @@ def element_from_index(spec: FieldSpec, index: int) -> FieldElement:
 
 
 def element_to_index(spec: FieldSpec, x: FieldElement) -> int:
-    """Inverse of element_from_index."""
+    """Inverse of element_from_index; x must be canonical, as make_element returns."""
+    if len(x) != spec.r:
+        raise ValueError(f"element needs exactly {spec.r} coefficients")
     out = 0
     for c in reversed(x):
+        if not 0 <= c < spec.p:
+            raise ValueError(f"coefficient {c} outside [0, {spec.p})")
         out = out * spec.p + c
     return out
 
@@ -164,6 +168,8 @@ def ff_neg(spec: FieldSpec, a: FieldElement) -> FieldElement:
 
 def ff_pow(spec: FieldSpec, a: FieldElement, e: int) -> FieldElement:
     """Square-and-multiply exponentiation; e >= 0."""
+    if e < 0:
+        raise ValueError(f"exponent {e} is negative")
     out = one(spec)
     base = a
     while e:

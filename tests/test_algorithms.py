@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from charshift.algorithms import (
-    CERTIFICATE_WIDTH,
     MAX_REGISTER_DIM,
+    _CERTIFICATE_STEPS,
+    _certificate_width,
     best_convergent_denominator,
     best_convergent_fraction,
     prepare_character_state,
@@ -472,16 +473,42 @@ def _prefixes_distinct(ns, width):
 
 
 def test_prefix_certificate_identifies_every_hidden_modulus_and_shift():
-    # J(x + s, n) over x < width, for every odd square-free n with n^2 below
-    # the largest M and every shift s: all distinct at CERTIFICATE_WIDTH, not
-    # all distinct one point earlier.
+    # J(x + s, n) over x < width, for every odd square-free n up to a step's
+    # last n (one below the next step's n) and every shift s: all distinct at
+    # the step's width, not all distinct one point earlier at the step's own n.
     ns = odd_squarefree_up_to(math.isqrt(MAX_REGISTER_DIM - 1))
-    assert ns[-1] == 1023
-    assert _prefixes_distinct(ns, CERTIFICATE_WIDTH)
-    assert not _prefixes_distinct(ns, CERTIFICATE_WIDTH - 1)
-    # A domain shorter than the certificate is checked in full.
-    for big_m in range(10, CERTIFICATE_WIDTH):
-        assert _prefixes_distinct(odd_squarefree_up_to(math.isqrt(big_m - 1)), big_m)
+    assert ns[0] == _CERTIFICATE_STEPS[0][0] and ns[-1] == 1023
+    lasts = [first - 1 for first, _ in _CERTIFICATE_STEPS[1:]] + [ns[-1]]
+    previous = 0
+    for (first, width), last in zip(_CERTIFICATE_STEPS, lasts):
+        assert _prefixes_distinct([n for n in ns if n <= last], width)
+        assert not _prefixes_distinct([n for n in ns if n <= first], width - 1)
+        # The step starts at the smallest M that admits its n, and that domain
+        # is longer than the certificate, so no prefix check runs off its end.
+        if previous:
+            assert _certificate_width(first**2) == previous
+        assert _certificate_width(first**2 + 1) == width < first**2 + 1
+        previous = width
+    assert _certificate_width(MAX_REGISTER_DIM) == previous == 58
+
+
+@pytest.mark.parametrize("big_m", [64, 1000, 2**14, 70000])
+def test_hidden_modulus_solve_asks_each_point_once(big_m):
+    # The period probes and every sub-solve's prefix check share one answer
+    # memo, which lives for one solve: a second solve on the same oracle asks
+    # its points again.
+    rng = np.random.default_rng(big_m)
+    for n in odd_squarefree_up_to(math.isqrt(big_m - 1))[::3]:
+        shift = int(rng.integers(n))
+        oracle = jacobi_unknown_oracle(n, big_m, shift=shift)
+        asked, query = [], oracle.query
+        oracle.query = lambda x: asked.append(x) or query(x)
+        for _ in range(2):
+            asked.clear()
+            rep = solve_sjsp_unknown_n(big_m, oracle, rng)
+            assert (rep.recovered_modulus, rep.recovered_shift) == (n, shift)
+            assert len(set(asked)) == len(asked) == rep.classical_queries
+            assert set(range(_certificate_width(big_m))) <= set(asked)
 
 
 def test_admission_limit_refuses_before_any_query():

@@ -297,8 +297,10 @@ def test_import_leaves_the_process_pool_unloaded():
 # exact_attempt_probability.  A change in the order of random draws moves them.
 # The sjsp classical counts are those of the CRT-built check, 3 queries for a
 # correct candidate at n = 15.  A Legendre or field candidate costs its one
-# zero probe.  An sjsp-unknown solve here spends 40 queries on the period
-# filter and 58 on the prefix check of the correct candidate.
+# zero probe.  An sjsp-unknown solve here asks 35 distinct points: the period
+# filter reads f(0..19) and f(15..34), and the prefix check of the correct
+# candidate reads f(0..21), the certificate width at M = 2^14, from the
+# solve's answer memo.
 PINNED = [
     (["slsp", "--p", "13", "--trials", "6", "--seed", "99"],
      [(12, None, None, 1, 2, 1, True)] * 6, 0.9230769230769231),
@@ -309,7 +311,7 @@ PINNED = [
       (10, None, None, 3, 4, 3, True), (10, None, None, 4, 6, 5, True)],
      0.5333333333333338),
     (["sjsp-unknown", "--n", "15", "--M", "16384", "--trials", "2", "--seed", "55"],
-     [(14, 15, 15, 1, 11, 100, True), (14, 15, 15, 2, 12, 101, True)], 0.5333333333333335),
+     [(14, 15, 15, 1, 11, 35, True), (14, 15, 15, 2, 12, 35, True)], 0.5333333333333335),
     (["sqcp", "--p", "3", "--r", "2", "--trials", "4", "--seed", "77"],
      [([0, 0], None, None, 1, 2, 1, True)] * 4, 1.0000000000000009),
 ]

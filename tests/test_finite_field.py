@@ -211,6 +211,19 @@ def test_element_encoding_roundtrip():
     assert element_from_index(spec, 7) == (2, 1, 0)  # 7 = 2 + 1*5
 
 
+@pytest.mark.parametrize("element", [(3, 0), (1, -1), (1,), (0, 1, 0)])
+def test_element_to_index_refuses_a_malformed_element(gf9, element):
+    # (3, 0) would read as index 3, the index of (0, 1)
+    with pytest.raises(ValueError):
+        element_to_index(gf9, element)
+
+
+def test_ff_pow_refuses_a_negative_exponent(gf9):
+    assert ff_pow(gf9, (1, 1), 0) == one(gf9)
+    with pytest.raises(ValueError):
+        ff_pow(gf9, (1, 1), -1)
+
+
 def test_make_element_canonicalizes():
     spec = make_field(3, 2)
     assert make_element(spec, (4, -1)) == (1, 2)

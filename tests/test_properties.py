@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charshift.algorithms import (
-    CERTIFICATE_WIDTH,
     MAX_REGISTER_DIM,
+    _certificate_width,
     _uniform_state,
     _unshifted_symbol,
     _verify_field,
@@ -247,7 +247,7 @@ def test_jacobi_crt_check_accepts_exactly_the_shift(n, data):
         st.integers(1, p - 1).map(lambda t: (s + t * (n // p)) % n),  # wrong at p only
     ))
     oracle = jacobi_oracle(n, shift=s)
-    accepted = _verify_jacobi(oracle, moduli, cand)
+    accepted = _verify_jacobi(oracle, moduli, cand, oracle.query)
     assert accepted == jacobi_full_period_verdict(n, s, cand) == (cand == s)
     if accepted:
         assert oracle.query_count == k * (k + 1) // 2
@@ -261,10 +261,10 @@ def test_jacobi_check_falls_back_to_a_full_period():
     n, s = 255255, 1234
     moduli = factor_trial(n)
     oracle = jacobi_oracle(n, shift=s)
-    assert _verify_jacobi(oracle, moduli, s)
+    assert _verify_jacobi(oracle, moduli, s, oracle.query)
     assert oracle.query_count == n
     wrong = (s + n // 3) % n  # agrees with s at every prime but 3
-    assert not _verify_jacobi(oracle, moduli, wrong)
+    assert not _verify_jacobi(oracle, moduli, wrong, oracle.query)
 
 
 @checked
@@ -312,11 +312,11 @@ def test_hidden_modulus_prefix_check_accepts_exactly_the_modulus_and_shift(n, da
     xs = np.arange(big_m)
     whole_domain = np.array_equal(jacobi_row_by_product(n)[(xs + s) % n],
                                   jacobi_row_by_product(guess)[(xs + cand) % guess])
-    accepted = _verify_jacobi(oracle, factor_trial(guess), cand)
+    accepted = _verify_jacobi(oracle, factor_trial(guess), cand, oracle.query)
     assert accepted == whole_domain == ((guess, cand) == (n, s))
-    assert oracle.query_count <= min(CERTIFICATE_WIDTH, big_m)
+    assert oracle.query_count <= _certificate_width(big_m)
     if accepted:
-        assert oracle.query_count == min(CERTIFICATE_WIDTH, big_m)
+        assert oracle.query_count == _certificate_width(big_m)
 
 
 def random_digits(dim, seed):
