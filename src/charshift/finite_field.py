@@ -7,6 +7,12 @@ and, for the whole field at once, read-only index-ordered arrays: the digit
 table, the trace coordinates x -> (Tr(x), Tr(xX), .., Tr(xX^(r-1))) and the
 character table, built with one vectorised multiply of digit rows.  Scalar
 products and the irreducibility test reduce by the same monic fold as those arrays.
+
+The character of x is the Jacobi symbol (x / f) in F_p[X], f the modulus, taken
+along a Euclid chain of monic remainders like the integer symbol: stripping a
+leading coefficient c from a in (a / b) gives legendre(c, p)^deg b, and swapping
+monic a, b gives (-1)^((p-1)/2 deg a deg b), the reciprocity law of F_p[X].  Only
+integers mod p are computed, so the value is exact.
 """
 
 from dataclasses import dataclass
@@ -210,17 +216,39 @@ def trace(spec: FieldSpec, x):
 
 
 def quadratic_character(spec: FieldSpec, x: FieldElement) -> int:
-    """+1 on nonzero squares, -1 on non-squares, 0 at zero.  Odd p only."""
-    if spec.p == 2:
+    """+1 on nonzero squares, -1 on non-squares, 0 at zero.  Odd p only.
+
+    For monic a, b with deg a < deg b, the Jacobi symbol (a / b) of F_p[X] obeys:
+      - (c a / b) = legendre(c, p)^deg b (a / b) for a constant c, as on a prime of
+        degree d, c^((p^d - 1)/2) = legendre(c, p)^(1 + p + .. + p^(d-1)) = legendre(c, p)^d;
+      - (a / b) = (-1)^((p-1)/2 deg a deg b) (b mod a / a) (Rosen, GTM 210, ch. 3).
+    From (x / f) these reach (1 / b) = 1 on integers mod p alone, so the value is
+    exact.  A zero remainder on the way means x and f share a factor.
+    """
+    p, half = spec.p, (spec.p - 1) // 2
+    if p == 2:
         raise EvenCharacteristic("quadratic character undefined for p = 2")
+    if len(x) != spec.r or not all(type(c) is int and 0 <= c < p for c in x):
+        raise ValueError(f"element {x!r} is not {spec.r} integers in [0, {p})")
     if not any(x):
         return 0
-    t = ff_pow(spec, x, (spec.q - 1) // 2)
-    if t == one(spec):
-        return 1
-    if t == make_element(spec, (spec.p - 1,) + (0,) * (spec.r - 1)):
-        return -1
-    raise AssertionError(f"x^((q-1)/2) = {t} is neither 1 nor -1; bad spec {spec}")
+    a, b, sign = x, spec.modulus, 1
+    while len(b) > 1:  # b monic of positive degree, a of lower degree
+        d = len(a)
+        while d and not a[d - 1]:
+            d -= 1
+        if not d:
+            raise ReducibleModulus(f"{spec.modulus} shares a factor with {x} over Z_{p}")
+        a, lead = a[:d], a[d - 1]
+        if lead != 1:
+            if len(b) % 2 == 0 and pow(lead, half, p) != 1:  # legendre(lead, p)^deg b = -1
+                sign = -sign
+            inv = pow(lead, -1, p)
+            a = [c * inv % p for c in a]
+        if half * (d - 1) * (len(b) - 1) % 2:  # the reciprocity sign
+            sign = -sign
+        a, b = _poly_mod(p, b, a), a
+    return sign
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from charshift.errors import DimensionMismatch, NotSquareFree
-from charshift.finite_field import element_from_index, element_to_index, ff_arith
+from charshift.finite_field import element_from_index, element_to_index, ff_arith, ff_pow, one
 from charshift.number_theory import factor_trial
 from charshift.oracles import RESULT_DIM
 from charshift.qsim import StateVector, basis_state, project, qft
@@ -93,6 +93,17 @@ def char_by_enumeration(spec) -> list[int]:
         e = element_from_index(spec, i)
         squares.add(element_to_index(spec, ff_arith(spec, e, e, "mul")))
     return [0] + [1 if i in squares else -1 for i in range(1, spec.q)]
+
+
+def char_by_euler(spec, x) -> int:
+    """The quadratic character by Euler's criterion: x^((q-1)/2) is 1 on nonzero
+    squares and -1 on non-squares, computed by square-and-multiply in the field."""
+    if not any(x):
+        return 0
+    t = ff_pow(spec, x, (spec.q - 1) // 2)
+    minus_one = (spec.p - 1,) + (0,) * (spec.r - 1)
+    assert t in (one(spec), minus_one), f"x^((q-1)/2) = {t} is neither 1 nor -1"
+    return 1 if t == one(spec) else -1
 
 
 def field_product_by_long_division(spec, a, b) -> tuple[int, ...]:

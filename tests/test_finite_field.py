@@ -9,6 +9,7 @@ from charshift.errors import (
     ReducibleModulus,
 )
 from charshift.finite_field import (
+    FieldSpec,
     element_from_index,
     element_to_index,
     ff_arith,
@@ -156,6 +157,25 @@ def test_character_examples(gf9):
     assert quadratic_character(gf9, (2, 0)) == 1  # X^2 = 2
     with pytest.raises(EvenCharacteristic):
         quadratic_character(make_field(2, 2), (1, 0))
+
+
+@pytest.mark.parametrize("element", [(3, 0), (0, 3), (1,), (1, 0, 0), (1.0, 0), (True, 0)])
+def test_character_refuses_a_malformed_element(gf9, element):
+    # (3, 0) and (0, 3) once blamed the spec; (1,) and (1, 0, 0) once returned 1
+    with pytest.raises(ValueError):
+        quadratic_character(gf9, element)
+
+
+def test_character_reports_a_shared_factor_of_a_reducible_modulus():
+    spec = FieldSpec(3, 2, (2, 0, 1))  # X^2 - 1 = (X - 1)(X + 1), not a field
+    raised = set()
+    for i in range(spec.q):
+        x = element_from_index(spec, i)
+        try:
+            assert quadratic_character(spec, x) in (0, 1, -1)
+        except ReducibleModulus:
+            raised.add(x)
+    assert raised == {(1, 1), (2, 1), (1, 2), (2, 2)}  # the multiples of X - 1 and X + 1
 
 
 @pytest.mark.parametrize("p,r", ODD_FIELD_PARAMS)

@@ -27,6 +27,7 @@ from charshift.finite_field import (
     element_from_index,
     element_to_index,
     ff_arith,
+    is_irreducible,
     make_field,
     quadratic_character,
     trace,
@@ -61,6 +62,7 @@ from charshift.qsim import (
 )
 from helpers import (
     char_by_enumeration,
+    char_by_euler,
     field_product_by_long_division,
     jacobi_full_period_verdict,
     jacobi_row_by_product,
@@ -426,6 +428,47 @@ def test_character_table_matches_enumeration_and_scalar(shape):
     assert table.tolist() == [
         quadratic_character(fld, element_from_index(fld, i)) for i in range(fld.q)
     ]
+
+
+ODD_PRIMES_TO_20K = [p for p in range(3, 20_000) if is_prime(p)]
+
+
+def random_odd_field(data, min_q=3):
+    """A field of odd characteristic with min_q to 20000 elements and a random
+    modulus: the first monic irreducible at or after a drawn one, in index order."""
+    r = data.draw(st.integers(1, 9))
+    p = data.draw(st.sampled_from([p for p in ODD_PRIMES_TO_20K if min_q <= p**r <= 20_000]))
+    start = data.draw(st.integers(0, p**r - 1))
+    for k in range(p**r):
+        index = (start + k) % p**r
+        modulus = tuple(index // p**j % p for j in range(r)) + (1,)
+        if is_irreducible(p, modulus):
+            return make_field(p, r, modulus)
+    raise AssertionError("every degree has a monic irreducible")
+
+
+@checked
+@given(data=st.data())
+def test_character_is_euler_criterion_table_and_legendre(data):
+    fld = random_odd_field(data)
+    table = character_table(fld)
+    for i in data.draw(st.lists(st.integers(0, fld.q - 1), min_size=1, max_size=20)):
+        x = element_from_index(fld, i)
+        chi = quadratic_character(fld, x)
+        assert chi == char_by_euler(fld, x) == table[i]
+        if fld.r == 1:
+            assert chi == legendre(x[0], fld.p)
+
+
+@checked
+@given(data=st.data())
+def test_character_is_multiplicative_on_random_pairs(data):
+    fld = random_odd_field(data, min_q=3**6 + 1)  # past the exhaustive test's fields
+    index = st.integers(0, fld.q - 1)
+    for i, j in data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=20)):
+        a, b = element_from_index(fld, i), element_from_index(fld, j)
+        chi_ab = quadratic_character(fld, ff_arith(fld, a, b, "mul"))
+        assert chi_ab == quadratic_character(fld, a) * quadratic_character(fld, b)
 
 
 @checked
