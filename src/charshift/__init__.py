@@ -33,7 +33,6 @@ from .finite_field import (
     ff_pow,
     format_poly,
     is_irreducible,
-    make_element,
     make_field,
     one,
     parse_poly,
@@ -45,7 +44,6 @@ from .finite_field import (
 from .number_theory import (
     FactoredOddSquarefree,
     GaussSum,
-    GaussSumSpec,
     convergents,
     crt_compose,
     euler_phi,

@@ -30,7 +30,6 @@ from .errors import (
 )
 from .number_theory import (
     FactoredOddSquarefree,
-    GaussSumSpec,
     _jacobi_row,
     _legendre_table,
     convergents,
@@ -220,16 +219,11 @@ def _sqcp_stage(state: StateVector, fld: ff.FieldSpec) -> StateVector:
     state = trace_fourier_transform(state, fld)
     # chi(0) = 0 guarantees an empty |0> slot; the dummy amplitude lands there.
     assert abs(state.amps[0]) <= 1e-9, "slot y=0 unexpectedly occupied"
-    phases = np.ones(q + 1)
-    phases[1:q] = ff.character_table(fld)[1:]
-    state = apply_phase(state, phases)
-    swap = np.arange(q + 1)
-    swap[[0, q]] = q, 0
-    state = permute_basis(state, swap)
-    unit = gauss_sum_closed_form(GaussSumSpec.for_field(fld)).unit
-    fold = np.ones(q + 1, dtype=np.complex128)
-    fold[[0, q]] = unit, unit.conjugate()
-    state = apply_phase(state, fold)
+    # One phase pass puts chi(y) on 1..q-1 and the Gauss-sum unit on the dummy
+    # slot q; swapping slots 0 and q then moves the dummy amplitude onto |0>.
+    unit = gauss_sum_closed_form(fld).unit
+    state = apply_phase(state, np.r_[unit.conjugate(), ff.character_table(fld)[1:], unit])
+    state = permute_basis(state, np.r_[q, 1:q, 0])
     return trace_fourier_transform(state, fld, inverse=True)
 
 
@@ -294,6 +288,12 @@ def _check_oracle(oracle: ShiftOracle, variant: str, size: int):
     """Refuse, before any query, an oracle other than the one a solve names."""
     if oracle.variant != variant or oracle.domain_size != size:
         raise ValueError(f"oracle is not a {variant} instance over a domain of {size}")
+
+
+def _check_field(fld: ff.FieldSpec, oracle: ShiftOracle):
+    _check_oracle(oracle, VARIANT_FIELD, fld.q)
+    if oracle.field_spec != fld:  # the same q under another modulus
+        raise ValueError(f"oracle is over {oracle.field_spec}, not {fld}")
 
 
 def _check_jacobi(moduli: FactoredOddSquarefree, oracle: ShiftOracle):
@@ -511,7 +511,7 @@ def solve_sqcp(fld: ff.FieldSpec, oracle: ShiftOracle, rng) -> SolveReport:
     dummy amplitude onto |0>, making the conditional final distribution
     one-hot at the negated shift.
     """
-    _check_oracle(oracle, VARIANT_FIELD, fld.q)
+    _check_field(fld, oracle)
 
     def negated_element(index):
         return ff.ff_neg(fld, ff.element_from_index(fld, index))
@@ -545,7 +545,7 @@ def sjsp_attempt_analysis(moduli: FactoredOddSquarefree, oracle: ShiftOracle):
 
 def sqcp_attempt_analysis(fld: ff.FieldSpec, oracle: ShiftOracle):
     """(zero-branch probability, conditional final outcome distribution)."""
-    _check_oracle(oracle, VARIANT_FIELD, fld.q)
+    _check_field(fld, oracle)
     _, state, zero_prob = prepare_character_state(oracle, fld.q + 1)
     return zero_prob, distribution(_sqcp_stage(state, fld))
 
@@ -592,7 +592,7 @@ def verify_jacobi_qft_lemma(moduli: FactoredOddSquarefree, shift: int) -> float:
     phi = euler_phi(moduli)
     vals = _jacobi_row(moduli.factors, shift).astype(np.float64)
     after = qft(StateVector(vals / math.sqrt(phi)))
-    unit = 1j ** (((n - 1) ** 2 // 4) % 4)
+    unit = gauss_sum_closed_form(moduli).unit
     ys = np.arange(n, dtype=np.int64)
     symbols = _jacobi_row(moduli.factors).astype(np.float64)
     rhs = unit * np.exp(-2j * np.pi / n * ((shift * ys) % n)) * symbols / math.sqrt(phi)

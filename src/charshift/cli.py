@@ -28,7 +28,7 @@ from . import oracles as orc
 from .errors import CharshiftError, ConfigError, DomainTooLarge, UnsupportedParameters
 from .number_theory import (
     GAUSS_BRUTEFORCE_MAX,
-    GaussSumSpec,
+    FactoredOddSquarefree,
     factor_trial,
     gauss_sum_bruteforce,
     gauss_sum_closed_form,
@@ -359,19 +359,19 @@ def _write_out(payload: str, out_path):
 
 
 def _gauss_command(args) -> int:
-    if args.zp is not None:
-        spec = _checked(GaussSumSpec.for_prime, args.zp)
+    if args.zp is not None:  # checked as a prime, never trial-divided
+        domain = _checked(FactoredOddSquarefree, args.zp, (args.zp,))
     elif args.zn is not None:
         _refuse_above("--zn", args.zn, GAUSS_BRUTEFORCE_MAX)
-        spec = GaussSumSpec.for_ring(_checked(factor_trial, args.zn))
+        domain = _checked(factor_trial, args.zn)
     else:
         p, r = args.fq
         if p == 2 and r >= 1:  # the closed form's refusal, before the modulus search
             raise UnsupportedParameters("no closed form in characteristic two")
         _refuse_oversized_field(p, r, GAUSS_BRUTEFORCE_MAX)
-        spec = GaussSumSpec.for_field(_checked(ff.make_field, p, r))
-    closed = gauss_sum_closed_form(spec)
-    brute = gauss_sum_bruteforce(spec)
+        domain = _checked(ff.make_field, p, r)
+    closed = gauss_sum_closed_form(domain)
+    brute = gauss_sum_bruteforce(domain)
     delta = abs(closed.value - brute)
     _write_out(
         f"exact: {closed.exact_str}\n"

@@ -107,14 +107,6 @@ def make_field(p: int, r: int, modulus=None) -> FieldSpec:
 # element construction and encoding
 
 
-def make_element(spec: FieldSpec, coeffs) -> FieldElement:
-    """Canonicalize a coefficient vector: exactly r entries, reduced mod p."""
-    coeffs = tuple(coeffs)
-    if len(coeffs) != spec.r:
-        raise ValueError(f"element needs exactly {spec.r} coefficients")
-    return tuple(c % spec.p for c in coeffs)
-
-
 def zero(spec: FieldSpec) -> FieldElement:
     return (0,) * spec.r
 
@@ -135,7 +127,7 @@ def element_from_index(spec: FieldSpec, index: int) -> FieldElement:
 
 
 def element_to_index(spec: FieldSpec, x: FieldElement) -> int:
-    """Inverse of element_from_index; x must be canonical, as make_element returns."""
+    """Inverse of element_from_index; refuses an x that is not canonical."""
     if len(x) != spec.r:
         raise ValueError(f"element needs exactly {spec.r} coefficients")
     out = 0

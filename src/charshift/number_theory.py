@@ -239,39 +239,14 @@ class GaussSum:
         return f"{prefix}sqrt({self.radicand})"
 
 
-@dataclass(frozen=True)
-class GaussSumSpec:
-    """Which quadratic Gauss sum to evaluate: over Z_n when ring is set, else F_{p^r}."""
-
-    ring: FactoredOddSquarefree | None = None
-    field: object = None  # FieldSpec; kept untyped to avoid a module cycle
-
-    @classmethod
-    def for_prime(cls, p: int) -> "GaussSumSpec":
-        """Z_p as the ring Z_n with n = p, where the Jacobi symbol is Legendre's."""
-        if not is_odd_prime(p):
-            raise NotOddPrime(f"{p} is not an odd prime")
-        return cls.for_ring(FactoredOddSquarefree(p, (p,)))
-
-    @classmethod
-    def for_ring(cls, moduli: FactoredOddSquarefree) -> "GaussSumSpec":
-        return cls(ring=moduli)
-
-    @classmethod
-    def for_field(cls, field) -> "GaussSumSpec":
-        return cls(field=field)
-
-    @property
-    def domain_size(self) -> int:
-        return self.field.q if self.ring is None else self.ring.n
-
-
-def gauss_sum_closed_form(spec: GaussSumSpec) -> GaussSum:
-    """Tabulated exact value of the quadratic Gauss sum."""
-    if spec.ring is not None:
-        n = spec.ring.n
+def gauss_sum_closed_form(domain) -> GaussSum:
+    """Tabulated exact value of the quadratic Gauss sum over domain: Z_n for a
+    FactoredOddSquarefree (a prime p is FactoredOddSquarefree(p, (p,)), where the
+    Jacobi symbol is Legendre's), F_q for a finite_field.FieldSpec."""
+    if isinstance(domain, FactoredOddSquarefree):
+        n = domain.n
         return GaussSum(_UNITS[0] if n % 4 == 1 else _UNITS[1], n)
-    p, r = spec.field.p, spec.field.r
+    p, r = domain.p, domain.r
     if p == 2:
         raise UnsupportedParameters("no closed form in characteristic two")
     # (-1)^(r-1) * i^(r*(p-1)^2/4), folded into a single power of i.
@@ -279,18 +254,18 @@ def gauss_sum_closed_form(spec: GaussSumSpec) -> GaussSum:
     return GaussSum(_UNITS[exponent], p**r)
 
 
-def gauss_sum_bruteforce(spec: GaussSumSpec) -> complex:
-    """The literal character-weighted root-of-unity sum, in double precision."""
-    size = spec.domain_size
+def gauss_sum_bruteforce(domain) -> complex:
+    """The literal character-weighted root-of-unity sum over the domain that
+    gauss_sum_closed_form takes, in double precision."""
+    ring = isinstance(domain, FactoredOddSquarefree)
+    size = domain.n if ring else domain.q
     if size > GAUSS_BRUTEFORCE_MAX:
         raise DomainTooLarge(f"domain of size {size} exceeds {GAUSS_BRUTEFORCE_MAX}")
-    if spec.ring is not None:
-        n = spec.ring.n
-        roots = np.array([cmath.exp(2j * cmath.pi * x / n) for x in range(n)])
-        return complex(np.cumsum(_jacobi_row(spec.ring.factors) * roots)[-1])
+    if ring:
+        roots = np.array([cmath.exp(2j * cmath.pi * x / size) for x in range(size)])
+        return complex(np.cumsum(_jacobi_row(domain.factors) * roots)[-1])
     from .finite_field import character_table, trace_coordinates
 
-    fld = spec.field
-    roots = np.array([cmath.exp(2j * cmath.pi * k / fld.p) for k in range(fld.p)])
-    terms = character_table(fld) * roots[trace_coordinates(fld)[:, 0]]
+    roots = np.array([cmath.exp(2j * cmath.pi * k / domain.p) for k in range(domain.p)])
+    terms = character_table(domain) * roots[trace_coordinates(domain)[:, 0]]
     return complex(np.cumsum(terms)[-1])

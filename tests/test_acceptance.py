@@ -34,7 +34,7 @@ from charshift.finite_field import (
     trace_coordinates,
 )
 from charshift.number_theory import (
-    GaussSumSpec,
+    FactoredOddSquarefree,
     euler_phi,
     factor_trial,
     gauss_sum_bruteforce,
@@ -179,15 +179,15 @@ def test_criterion_6_unknown_modulus_end_to_end():
 def test_criterion_7_gauss_sum_closed_forms():
     with _Budget(7, "closed-form Gauss sums match brute force on every domain", 30):
         for p in ODD_PRIMES_TO_101:
-            spec = GaussSumSpec.for_prime(p)
+            spec = FactoredOddSquarefree(p, (p,))
             assert abs(gauss_sum_closed_form(spec).value - gauss_sum_bruteforce(spec)) < 1e-6
         for n in odd_squarefree_up_to(105):
-            spec = GaussSumSpec.for_ring(factor_trial(n))
+            spec = factor_trial(n)
             assert abs(gauss_sum_closed_form(spec).value - gauss_sum_bruteforce(spec)) < 1e-6
         sign_cases = set()
         for p, r in FIELD_SIZES + [(3, 1), (5, 1), (7, 1)]:
             fld = make_field(p, r)
-            spec = GaussSumSpec.for_field(fld)
+            spec = fld
             closed = gauss_sum_closed_form(spec)
             assert abs(closed.value - gauss_sum_bruteforce(spec)) < 1e-6
             if p % 4 == 1:
@@ -197,8 +197,8 @@ def test_criterion_7_gauss_sum_closed_forms():
         assert len(sign_cases) == 6  # every branch of the closed-form table
         # the ring and field values coincide on prime domains
         for p in (3, 5, 7, 11, 13):
-            ring = gauss_sum_closed_form(GaussSumSpec.for_prime(p))
-            fld = gauss_sum_closed_form(GaussSumSpec.for_field(make_field(p, 1)))
+            ring = gauss_sum_closed_form(FactoredOddSquarefree(p, (p,)))
+            fld = gauss_sum_closed_form(make_field(p, 1))
             assert ring == fld
 
 

@@ -34,12 +34,10 @@ from charshift.finite_field import (
     element_to_index,
     ff_arith,
     ff_neg,
-    make_element,
     make_field,
     trace,
 )
 from charshift.number_theory import (
-    GaussSumSpec,
     _jacobi_row,
     euler_phi,
     factor_trial,
@@ -191,7 +189,7 @@ def test_lazy_zero_branch_matches_eager_preparation(make_oracle, dim):
 
 def test_solve_sqcp_examples():
     gf9 = make_field(3, 2)
-    shift = make_element(gf9, (2, 1))  # X + 2
+    shift = (2, 1)  # X + 2
     rep = solve_sqcp(gf9, field_oracle(gf9, shift=shift), np.random.default_rng(6))
     assert rep.recovered_shift == shift
     gf25 = make_field(5, 2)
@@ -201,7 +199,7 @@ def test_solve_sqcp_examples():
 
 def test_sqcp_conditional_distribution_one_hot():
     gf9 = make_field(3, 2)
-    shift = make_element(gf9, (2, 1))
+    shift = (2, 1)
     zero_prob, dist = sqcp_attempt_analysis(gf9, field_oracle(gf9, shift=shift))
     assert zero_prob == pytest.approx(1 / 10, abs=1e-12)
     target = element_to_index(gf9, ff_neg(gf9, shift))
@@ -213,7 +211,7 @@ def test_zero_branch_success_keeps_no_transcript():
     # seed 3 measures the zero value on its first attempt and returns the
     # shift from it; no stage ran, so no exact distribution is recorded
     gf9 = make_field(3, 2)
-    shift = make_element(gf9, (1, 2))
+    shift = (1, 2)
     rep = solve_sqcp(gf9, field_oracle(gf9, shift=shift), np.random.default_rng(3))
     assert rep.attempts == 1 and rep.exact_distribution is None
     assert rep.recovered_shift == shift
@@ -223,10 +221,10 @@ def test_sqcp_transform_checkpoint_matches_gauss_display():
     # right after the trace transform the state is
     # (G/q) sum_y chi(y) w^(Tr(-s y)) |y>  +  (1/sqrt(q)) |dummy>
     gf9 = make_field(3, 2)
-    shift = make_element(gf9, (1, 2))
+    shift = (1, 2)
     _, prepared, _ = prepare_character_state(field_oracle(gf9, shift=shift), 10)
     state = trace_fourier_transform(prepared, gf9)
-    g = gauss_sum_closed_form(GaussSumSpec.for_field(gf9)).value
+    g = gauss_sum_closed_form(gf9).value
     neg = ff_neg(gf9, shift)
     expected = np.zeros(10, dtype=complex)
     for y in range(9):
@@ -414,6 +412,19 @@ def test_attempt_analysis_oracle_mismatch_rejected(analysis, instance, make_orac
     with pytest.raises(ValueError):
         analysis(instance, oracle)
     assert oracle.phase_query_count == 0 and oracle.query_count == 0
+
+
+def test_field_oracle_over_another_modulus_is_refused():
+    # X^2 + X + 2 and X^2 + 1 give two models of GF(9) whose element indices
+    # disagree, so an oracle over one is refused, before any query, by a solve
+    # or analysis over the other.
+    fld, other = make_field(3, 2), make_field(3, 2, (2, 1, 1))
+    for run in (partial(sqcp_attempt_analysis, fld),
+                lambda oracle: solve_sqcp(fld, oracle, np.random.default_rng(0))):
+        oracle = field_oracle(other, shift=(1, 1))
+        with pytest.raises(ValueError):
+            run(oracle)
+        assert oracle.phase_query_count == 0 and oracle.query_count == 0
 
 
 def test_solvers_refuse_a_missing_rng_before_any_query():

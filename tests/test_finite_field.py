@@ -17,7 +17,6 @@ from charshift.finite_field import (
     ff_pow,
     format_poly,
     is_irreducible,
-    make_element,
     make_field,
     one,
     parse_poly,
@@ -242,13 +241,6 @@ def test_ff_pow_refuses_a_negative_exponent(gf9):
     assert ff_pow(gf9, (1, 1), 0) == one(gf9)
     with pytest.raises(ValueError):
         ff_pow(gf9, (1, 1), -1)
-
-
-def test_make_element_canonicalizes():
-    spec = make_field(3, 2)
-    assert make_element(spec, (4, -1)) == (1, 2)
-    with pytest.raises(ValueError):
-        make_element(spec, (1, 2, 0))
 
 
 def test_negation(gf9):

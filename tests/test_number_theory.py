@@ -17,7 +17,6 @@ from charshift.errors import (
 from charshift.finite_field import make_field
 from charshift.number_theory import (
     FactoredOddSquarefree,
-    GaussSumSpec,
     convergents,
     crt_compose,
     euler_phi,
@@ -195,10 +194,10 @@ def test_convergent_properties():
 
 
 GAUSS_RING_CASES = [
-    (GaussSumSpec.for_prime(5), "sqrt(5)"),
-    (GaussSumSpec.for_prime(7), "i*sqrt(7)"),
-    (GaussSumSpec.for_ring(factor_trial(15)), "i*sqrt(15)"),
-    (GaussSumSpec.for_ring(factor_trial(21)), "sqrt(21)"),
+    (FactoredOddSquarefree(5, (5,)), "sqrt(5)"),
+    (FactoredOddSquarefree(7, (7,)), "i*sqrt(7)"),
+    (factor_trial(15), "i*sqrt(15)"),
+    (factor_trial(21), "sqrt(21)"),
 ]
 
 # One field per sign case of the closed-form table, plus degree-one fields
@@ -224,51 +223,51 @@ def test_gauss_closed_form_rings(spec, want):
 
 @pytest.mark.parametrize("params,want", GAUSS_FIELD_CASES)
 def test_gauss_closed_form_fields(params, want):
-    spec = GaussSumSpec.for_field(make_field(*params))
+    spec = make_field(*params)
     assert gauss_sum_closed_form(spec).exact_str == want
 
 
 def test_gauss_bruteforce_examples():
-    assert abs(gauss_sum_bruteforce(GaussSumSpec.for_prime(5)) - math.sqrt(5)) < 1e-9
+    assert abs(gauss_sum_bruteforce(FactoredOddSquarefree(5, (5,))) - math.sqrt(5)) < 1e-9
     assert (
-        abs(gauss_sum_bruteforce(GaussSumSpec.for_ring(factor_trial(15))) - 1j * math.sqrt(15))
+        abs(gauss_sum_bruteforce(factor_trial(15)) - 1j * math.sqrt(15))
         < 1e-9
     )
     gf9 = make_field(3, 2)
-    assert abs(gauss_sum_bruteforce(GaussSumSpec.for_field(gf9)) - 3) < 1e-9
+    assert abs(gauss_sum_bruteforce(gf9) - 3) < 1e-9
 
 
 def test_gauss_closed_matches_brute_spot_sweep():
     # The exhaustive sweep lives in the acceptance suite; keep a fast cross
     # section here including the Z_p = F_p agreement.
     for p in (3, 5, 7, 11, 13, 31):
-        ring = gauss_sum_closed_form(GaussSumSpec.for_prime(p))
-        fld = gauss_sum_closed_form(GaussSumSpec.for_field(make_field(p, 1)))
+        ring = gauss_sum_closed_form(FactoredOddSquarefree(p, (p,)))
+        fld = gauss_sum_closed_form(make_field(p, 1))
         assert ring == fld
-        assert abs(ring.value - gauss_sum_bruteforce(GaussSumSpec.for_prime(p))) < 1e-6
+        assert abs(ring.value - gauss_sum_bruteforce(FactoredOddSquarefree(p, (p,)))) < 1e-6
     for n in (33, 35, 105):
-        spec = GaussSumSpec.for_ring(factor_trial(n))
+        spec = factor_trial(n)
         assert abs(gauss_sum_closed_form(spec).value - gauss_sum_bruteforce(spec)) < 1e-6
     for p, r in ((3, 2), (5, 2), (3, 3)):
-        spec = GaussSumSpec.for_field(make_field(p, r))
+        spec = make_field(p, r)
         assert abs(gauss_sum_closed_form(spec).value - gauss_sum_bruteforce(spec)) < 1e-6
 
 
 def test_gauss_exact_str_rendering():
-    assert gauss_sum_closed_form(GaussSumSpec.for_prime(13)).exact_str == "sqrt(13)"
-    assert gauss_sum_closed_form(GaussSumSpec.for_field(make_field(5, 2))).exact_str == "-sqrt(25)"
-    value = gauss_sum_closed_form(GaussSumSpec.for_prime(7)).value
+    assert gauss_sum_closed_form(FactoredOddSquarefree(13, (13,))).exact_str == "sqrt(13)"
+    assert gauss_sum_closed_form(make_field(5, 2)).exact_str == "-sqrt(25)"
+    value = gauss_sum_closed_form(FactoredOddSquarefree(7, (7,))).value
     assert abs(value - 1j * math.sqrt(7)) < 1e-12
 
 
 def test_gauss_error_cases():
-    with pytest.raises(NotOddPrime):
-        GaussSumSpec.for_prime(9)
+    with pytest.raises(ValueError):  # 9 is not an odd prime
+        FactoredOddSquarefree(9, (9,))
     with pytest.raises(UnsupportedParameters):
-        gauss_sum_closed_form(GaussSumSpec.for_field(make_field(2, 2)))
+        gauss_sum_closed_form(make_field(2, 2))
     big = FactoredOddSquarefree(3 * 5 * 7 * 11 * 13 * 17 * 19, (3, 5, 7, 11, 13, 17, 19))
     with pytest.raises(DomainTooLarge):
-        gauss_sum_bruteforce(GaussSumSpec.for_ring(big))
+        gauss_sum_bruteforce(big)
 
 
 def test_gauss_sum_omega_convention():

@@ -34,7 +34,6 @@ from charshift.finite_field import (
     trace_coordinates,
 )
 from charshift.number_theory import (
-    GaussSumSpec,
     _legendre_table,
     factor_trial,
     gauss_sum_bruteforce,
@@ -373,7 +372,7 @@ def test_plain_value_query_per_base_and_shared_uniform_state(n, data, seed):
 @given(n=odd_squarefree(20000))
 def test_ring_gauss_bruteforce_is_the_sequential_scalar_sum(n):
     want = sum(jacobi(x, n) * cmath.exp(2j * cmath.pi * x / n) for x in range(n))
-    assert gauss_sum_bruteforce(GaussSumSpec.for_ring(factor_trial(n))) == want
+    assert gauss_sum_bruteforce(factor_trial(n)) == want
 
 
 @checked
