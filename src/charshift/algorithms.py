@@ -40,7 +40,6 @@ from .number_theory import (
     jacobi,
 )
 from .oracles import (
-    RESULT_DIM,
     VARIANT_FIELD,
     VARIANT_JACOBI,
     VARIANT_JACOBI_UNKNOWN,
@@ -141,33 +140,39 @@ def prepare_character_state(oracle: ShiftOracle, dim: int, rng=None):
     Every state here holds one result digit per slot, so the register is
     the oracle's int8 digit column beside the shared 16-byte-per-slot
     uniform amplitudes.  Every solve and analysis allocates its registers
-    here.  Its temporaries peak near 42 bytes per slot, 42 MiB at dim =
-    2^20: the 24-byte (dim, 3) mass table with the 3-byte mask and 8-byte
-    squared magnitudes it is built from, then 16-byte amplitudes, their
-    8-byte squared magnitudes and the 16-byte result, and 1-byte digit
-    columns.  A dim above MAX_REGISTER_DIM raises DomainTooLarge before any
-    allocation or query.
+    here.  Its temporaries peak near 26 bytes per slot, 26 MiB at dim =
+    2^20: 8-byte squared magnitudes with the 16-byte (dim, 2) masses of
+    digits 1 and 2 or the 16-byte zero branch, a 1-byte mask and the digit
+    column; the accepted amplitudes come after and are scaled in place.  A
+    dim above MAX_REGISTER_DIM raises DomainTooLarge before any allocation
+    or query.
     """
     if dim > MAX_REGISTER_DIM:
         raise DomainTooLarge(f"register of dimension {dim} exceeds {MAX_REGISTER_DIM}")
     uniform = _uniform_state(dim).amps
     digits = oracle.value_query_superposed(dim)
-    # summed in the order of the interleaved register x*3 + digit
-    masses = np.where(digits[:, None] == np.arange(RESULT_DIM),
-                      np.abs(uniform)[:, None] ** 2, 0.0)
-    zero_prob = float(np.sum(masses[:, 0]))
+    weights = np.abs(uniform) ** 2
+    # zeros kept where the full register x*3 + digit has them: the same sums, bit for bit
+    zero_prob = float(np.sum(np.where(digits == 0, weights, 0.0)))
     if rng is not None and rng.random() < zero_prob:
-        zero_state = np.where(digits == 0, uniform, 0) / math.sqrt(zero_prob)
+        zero_state = np.where(digits == 0, uniform, 0)
+        zero_state /= math.sqrt(zero_prob)
         return False, _trusted(zero_state), zero_prob
-    nonzero_prob = float(np.sum(masses[:, 1:].ravel()))
-    del masses
+    pair = np.empty((dim, 2))
+    for g in (1, 2):  # weights >= 0, so w * 1 = w and w * 0 = +0.0 as np.where gives
+        np.multiply(weights, digits == g, out=pair[:, g - 1])
+    nonzero_prob = float(np.sum(pair))
+    del weights, pair
     amps = uniform / math.sqrt(nonzero_prob)
     amps[digits == 0] = 0
     np.negative(amps, out=amps, where=digits == 2)  # the phase of a -1 value
-    if np.any(oracle.value_query_superposed(dim, digits)[amps != 0]):
+    # amps is nonzero where digits is: no uniform amplitude is zero
+    if np.any((oracle.value_query_superposed(dim, digits) != 0) & (digits != 0)):
         raise DomainViolation("the second query left the result register computed")
-    mass = _check_norm(float(np.sum(np.abs(amps) ** 2)))  # divided out, as a discard does
-    return True, _trusted(amps / math.sqrt(mass)), zero_prob
+    weights = np.abs(amps)
+    mass = _check_norm(float(np.sum(np.square(weights, out=weights))))
+    amps /= math.sqrt(mass)  # the norm divided out, as a discard does
+    return True, _trusted(amps), zero_prob
 
 
 @lru_cache(maxsize=4)  # frozen, so shareable; np.full is not bit-equal (dim = 89)

@@ -98,20 +98,20 @@ class ShiftOracle:
     def value_query_superposed(self, dim: int, digits=None) -> np.ndarray:
         """Coherently evaluate into the result register (one coherent query).
 
-        The register holds one digit per slot of a dim-slot register: digits,
-        or a cleared register (all 0) when digits is None.  Returns the
-        updated digits (value - digit) mod 3 as a fresh read-only int8 array,
-        so a second call on the first call's output clears the register.
+        The register holds one digit in {0, 1, 2} per slot of a dim-slot
+        register: digits, or a cleared register (all 0) when digits is None.
+        Returns the updated digits (value - digit) mod 3 as a fresh read-only
+        int8 array; a second call on the first call's output clears them.
         """
         values = self._values(dim)
         if digits is not None:
             if np.shape(digits) != (dim,):
                 raise DomainViolation(f"{np.shape(digits)} digits for a {dim}-slot register")
             values -= digits
-        out = values % RESULT_DIM
-        out.flags.writeable = False
+        values += (values < 0) * np.int8(RESULT_DIM)  # mod 3 of -3..1, without a division
+        values.flags.writeable = False
         self._bump("_phase_query_count")
-        return out
+        return values
 
 
 def _is_integer(value) -> bool:

@@ -1,5 +1,7 @@
 import logging
 import math
+import re
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -168,12 +170,25 @@ def test_sjsp_collapse_rate_statistics():
     (partial(jacobi_unknown_oracle, 21, 1024, shift=4), 21),  # the sub-solve's register
 ])
 def test_lazy_zero_branch_matches_eager_preparation(make_oracle, dim):
+    # seed 34 draws the 1/101 zero branch at p = 101
+    assert_lazy_matches_eager(make_oracle, dim, range(64))
+
+
+@pytest.mark.parametrize("make_oracle,dim", [
+    (partial(jacobi_unknown_oracle, 105, 1 << 16, shift=4), 1 << 16),  # hidden-modulus
+    (partial(jacobi_oracle, 15015, shift=2145), 15015),  # not a power of two
+])
+def test_lazy_preparation_matches_eager_at_benchmark_sizes(make_oracle, dim):
+    assert_lazy_matches_eager(make_oracle, dim, range(8))
+
+
+def assert_lazy_matches_eager(make_oracle, dim, seeds):
     def bits(prepared):
         accepted, state, zero_prob = prepared
         return accepted, state.amps.tobytes(), zero_prob
 
     branches = set()
-    for seed in range(64):  # seed 34 draws the 1/101 zero branch at p = 101
+    for seed in seeds:
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         oracle, ref_oracle = make_oracle(), make_oracle()
         got = prepare_character_state(oracle, dim, rng)
@@ -185,6 +200,23 @@ def test_lazy_zero_branch_matches_eager_preparation(make_oracle, dim):
     assert branches == {True, False}
     got = prepare_character_state(make_oracle(), dim)
     assert bits(got) == bits(prepare_character_state_eager(make_oracle(), dim))
+
+
+def test_preparation_peak_memory_is_the_documented_bytes_per_slot():
+    per_slot = int(re.search(r"peak near (\d+) bytes per slot",
+                             prepare_character_state.__doc__).group(1))
+    dim = 1 << 16
+    oracle = jacobi_unknown_oracle(105, dim, shift=4)
+    _, _, zero_prob = prepare_character_state(oracle, dim)  # caches the table and uniform state
+    reject = next(s for s in range(64) if np.random.default_rng(s).random() < zero_prob)
+    for rng, accepted in ((None, True), (np.random.default_rng(reject), False)):
+        tracemalloc.start()
+        try:
+            assert prepare_character_state(oracle, dim, rng)[0] is accepted
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= per_slot * dim + (1 << 17)  # numpy's fixed 64 KiB cast buffer, headers
 
 
 def test_solve_sqcp_examples():
