@@ -39,7 +39,6 @@ from .finite_field import (
     quadratic_character,
     trace,
     trace_coordinates,
-    zero,
 )
 from .number_theory import (
     FactoredOddSquarefree,

@@ -346,6 +346,13 @@ def _emit_records(records, summary, args):
     _write_out(payload, args.out)
 
 
+def _check_writable(out_path):
+    """Refuse an --out path that cannot be written, before any work is done."""
+    target = out_path if os.path.exists(out_path) else os.path.dirname(os.path.abspath(out_path))
+    if os.path.isdir(out_path) or not os.access(target, os.W_OK):
+        raise ConfigError(f"--out {out_path} is not a writable file path")
+
+
 def _write_out(payload: str, out_path):
     if out_path:
         with open(out_path, "w") as handle:
@@ -452,6 +459,8 @@ def main(argv=None) -> int:
     try:
         if not 0 <= getattr(args, "seed", 0) < 1 << 64:
             raise ConfigError(f"--seed {args.seed} outside [0, 2^64)")
+        if getattr(args, "out", None):
+            _check_writable(args.out)
         if args.command in VARIANTS:
             code = _solve_command(args.command, args)
         else:

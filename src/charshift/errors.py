@@ -21,10 +21,6 @@ class EvenCharacteristic(CharshiftError):
     """Character operations are undefined in characteristic two."""
 
 
-class SingularTraceMatrix(CharshiftError):
-    """The trace-coordinate matrix is singular; the field spec is invalid."""
-
-
 class EvenInput(CharshiftError):
     """An integer that must be odd is even."""
 

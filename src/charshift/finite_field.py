@@ -21,7 +21,7 @@ from itertools import product as _cartesian
 
 import numpy as np
 
-from .errors import EvenCharacteristic, NotPrime, ReducibleModulus, SingularTraceMatrix
+from .errors import EvenCharacteristic, NotPrime, ReducibleModulus
 from .number_theory import is_prime
 
 FieldElement = tuple[int, ...]
@@ -32,16 +32,35 @@ class FieldSpec:
     """A concrete model of GF(p^r): characteristic, degree, and modulus.
 
     The modulus is a monic irreducible polynomial of degree r over Z_p,
-    stored as r+1 coefficients with the constant term first.
+    stored as a tuple of r+1 coefficients with the constant term first.
+    Construction refuses anything else, so every spec is a field.
     """
 
     p: int
     r: int
     modulus: tuple[int, ...]
 
+    def __post_init__(self):
+        p, r, modulus = self.p, self.r, self.modulus
+        if not is_prime(p):
+            raise NotPrime(f"{p} is not prime")
+        if type(r) is not int or r < 1:
+            raise ValueError(f"degree {r!r} must be a positive int")
+        if type(modulus) is not tuple:
+            raise ValueError(f"modulus {modulus!r} is not a tuple")
+        _check_coefficients(p, modulus, r + 1, "modulus")
+        if not is_irreducible(p, modulus):  # which refuses a modulus that is not monic
+            raise ReducibleModulus(f"{modulus} factors over Z_{p}")
+
     @property
     def q(self) -> int:
         return self.p**self.r
+
+
+def _check_coefficients(p, coeffs, count, what="element") -> None:
+    """Refuse anything but count ints (not bools) in [0, p)."""
+    if len(coeffs) != count or not all(type(c) is int and 0 <= c < p for c in coeffs):
+        raise ValueError(f"{what} {coeffs!r} is not {count} integers in [0, {p})")
 
 
 # ---------------------------------------------------------------------------
@@ -95,20 +114,13 @@ def make_field(p: int, r: int, modulus=None) -> FieldSpec:
     if modulus is None:
         modulus = _default_modulus(p, r)
     else:
-        modulus = tuple(c % p for c in modulus)
-        if len(modulus) != r + 1 or modulus[-1] != 1:
-            raise ValueError(f"modulus must be monic of degree exactly {r}")
-        if not is_irreducible(p, modulus):
-            raise ReducibleModulus(f"{modulus} factors over Z_{p}")
+        # integral values (numpy ints, 1.0) become ints; 1.5 stays, for FieldSpec to refuse
+        modulus = tuple(int(c) % p if int(c) == c else c for c in modulus)
     return FieldSpec(p=p, r=r, modulus=modulus)
 
 
 # ---------------------------------------------------------------------------
 # element construction and encoding
-
-
-def zero(spec: FieldSpec) -> FieldElement:
-    return (0,) * spec.r
 
 
 def one(spec: FieldSpec) -> FieldElement:
@@ -128,14 +140,8 @@ def element_from_index(spec: FieldSpec, index: int) -> FieldElement:
 
 def element_to_index(spec: FieldSpec, x: FieldElement) -> int:
     """Inverse of element_from_index; refuses an x that is not canonical."""
-    if len(x) != spec.r:
-        raise ValueError(f"element needs exactly {spec.r} coefficients")
-    out = 0
-    for c in reversed(x):
-        if not 0 <= c < spec.p:
-            raise ValueError(f"coefficient {c} outside [0, {spec.p})")
-        out = out * spec.p + c
-    return out
+    _check_coefficients(spec.p, x, spec.r)
+    return sum(c * spec.p**j for j, c in enumerate(x))
 
 
 # ---------------------------------------------------------------------------
@@ -185,20 +191,13 @@ def ff_pow(spec: FieldSpec, a: FieldElement, e: int) -> FieldElement:
 
 @lru_cache(maxsize=None)
 def _basis_traces(spec: FieldSpec) -> tuple[int, ...]:
-    # Tr(X^k) for k = 0 .. 2r-2, by direct power sums in the field.
-    if spec.r == 1:
-        return (1,)
-    gen = (0, 1) + (0,) * (spec.r - 2)  # the element X
-    out = []
-    for k in range(2 * spec.r - 1):
-        xk = ff_pow(spec, gen, k)
-        acc = zero(spec)
-        for j in range(spec.r):
-            acc = ff_arith(spec, acc, ff_pow(spec, xk, spec.p**j), "add")
-        if any(acc[1:]):
-            raise SingularTraceMatrix(f"trace of X^{k} left the base field; bad spec {spec}")
-        out.append(acc[0])
-    return tuple(out)
+    # Tr(X^k) for k = 0 .. 2r-2, by direct power sums in the field; a trace lies
+    # in Z_p, so only the constant coefficients of the conjugates X^(k p^j) add up.
+    gen = (0, 1) + (0,) * (spec.r - 2)  # the element X; r = 1 needs only X^0 = 1
+    return tuple(
+        sum(ff_pow(spec, gen, k * spec.p**j)[0] for j in range(spec.r)) % spec.p
+        for k in range(2 * spec.r - 1)
+    )
 
 
 def trace(spec: FieldSpec, x):
@@ -215,22 +214,19 @@ def quadratic_character(spec: FieldSpec, x: FieldElement) -> int:
         degree d, c^((p^d - 1)/2) = legendre(c, p)^(1 + p + .. + p^(d-1)) = legendre(c, p)^d;
       - (a / b) = (-1)^((p-1)/2 deg a deg b) (b mod a / a) (Rosen, GTM 210, ch. 3).
     From (x / f) these reach (1 / b) = 1 on integers mod p alone, so the value is
-    exact.  A zero remainder on the way means x and f share a factor.
+    exact.
     """
     p, half = spec.p, (spec.p - 1) // 2
     if p == 2:
         raise EvenCharacteristic("quadratic character undefined for p = 2")
-    if len(x) != spec.r or not all(type(c) is int and 0 <= c < p for c in x):
-        raise ValueError(f"element {x!r} is not {spec.r} integers in [0, {p})")
+    _check_coefficients(p, x, spec.r)
     if not any(x):
         return 0
     a, b, sign = x, spec.modulus, 1
     while len(b) > 1:  # b monic of positive degree, a of lower degree
         d = len(a)
-        while d and not a[d - 1]:
+        while not a[d - 1]:  # a != 0, since f is irreducible and x != 0
             d -= 1
-        if not d:
-            raise ReducibleModulus(f"{spec.modulus} shares a factor with {x} over Z_{p}")
         a, lead = a[:d], a[d - 1]
         if lead != 1:
             if len(b) % 2 == 0 and pow(lead, half, p) != 1:  # legendre(lead, p)^deg b = -1
@@ -278,14 +274,11 @@ def trace_coordinates(spec: FieldSpec) -> np.ndarray:
     """The (q, r) array whose row x is (Tr(x), Tr(xX), .., Tr(xX^(r-1))).
 
     Row x is digits(x) @ H mod p with H[i][j] = Tr(X^(i+j)).  In a field H is
-    invertible, so the rows are distinct; repeated rows raise SingularTraceMatrix.
+    invertible, so the rows are distinct.
     """
     basis = _basis_traces(spec)
     hankel = np.array([[basis[i + j] for j in range(spec.r)] for i in range(spec.r)])
-    coords = digit_table(spec) @ hankel % spec.p
-    if np.bincount(coords @ spec.p ** np.arange(spec.r)).max() > 1:
-        raise SingularTraceMatrix(f"trace coordinates repeat for {spec}")
-    return _frozen(coords)
+    return _frozen(digit_table(spec) @ hankel % spec.p)
 
 
 @lru_cache(maxsize=None)

@@ -163,9 +163,9 @@ def jacobi_unknown_oracle(n: int, big_m: int, shift=None, rng=None) -> ShiftOrac
     The wrap at the domain edge follows the period: f(x) depends only on
     x + s modulo n, for every x in Z_M.
     """
-    factors = factor_trial(n).factors
-    if n * n >= big_m:
+    if n * n >= big_m:  # before factor_trial, whose trial division can take minutes
         raise ModulusTooLargeForM(f"need n^2 < M but {n}^2 >= {big_m}")
+    factors = factor_trial(n).factors
     s = _draw_or_check(shift, n, rng, "shift")
     table = partial(_jacobi_row, factors, s, big_m)
     return ShiftOracle(VARIANT_JACOBI_UNKNOWN, big_m, lambda x: jacobi(x + s, n), table)

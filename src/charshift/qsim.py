@@ -112,7 +112,7 @@ def apply_phase(state: StateVector, phases) -> StateVector:
     """
     phases = _per_index(state, phases, np.complex128)
     live = np.abs(state.amps) > _DEAD_AMP
-    bad = live & (np.abs(np.abs(phases) - 1.0) > 1e-12)
+    bad = live & ~(np.abs(np.abs(phases) - 1.0) <= 1e-12)  # negated so that NaN fails too
     if np.any(bad):
         idx = int(np.flatnonzero(bad)[0])
         raise NonUnitPhase(f"phase {phases[idx]!r} at occupied index {idx}")
@@ -122,6 +122,8 @@ def apply_phase(state: StateVector, phases) -> StateVector:
 def permute_basis(state: StateVector, sigma) -> StateVector:
     """Relabel basis states: new_amps[sigma[x]] = amps[x]."""
     n = state.dim
+    if not np.issubdtype(np.asarray(sigma).dtype, np.integer):
+        raise NotBijective("image is not integer-valued")
     sigma = _per_index(state, sigma, np.int64)
     if np.any((sigma < 0) | (sigma >= n)):
         raise NotBijective("image leaves the index range")

@@ -94,6 +94,22 @@ def test_seed_outside_64_bits_exits_2(capsys, command, seed):
     assert out == "" and "--seed" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["slsp", "--p", "7", "--trials", "3"],
+    ["oracle-dump", "--variant", "legendre", "--p", "7"],
+])
+@pytest.mark.parametrize("out", ["missing/x", "."])
+def test_unwritable_out_exits_2_before_any_trial(capsys, monkeypatch, tmp_path, command, out):
+    def no_work(*args):
+        raise AssertionError("a trial or oracle ran for an unwritable --out")
+
+    monkeypatch.setattr(cli, "_run_trial", no_work)
+    monkeypatch.setattr(cli.orc, "legendre_oracle", no_work)
+    assert cli.main(command + ["--out", str(tmp_path / out)]) == 2
+    printed, err = capsys.readouterr()
+    assert printed == "" and err.startswith("error: --out")
+
+
 def test_random_shift_replays_with_seed():
     a = run_cli("slsp", "--p", "13", "--trials", "5", "--seed", "17")
     b = run_cli("slsp", "--p", "13", "--trials", "5", "--seed", "17")

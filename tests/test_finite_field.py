@@ -23,7 +23,6 @@ from charshift.finite_field import (
     quadratic_character,
     trace,
     trace_coordinates,
-    zero,
 )
 from helpers import char_by_enumeration
 
@@ -49,6 +48,14 @@ def test_make_field_examples():
         make_field(3, 0)
     with pytest.raises(ValueError):
         make_field(3, 2, (1, 0, 2))  # not monic
+
+
+def test_make_field_takes_integral_coefficients_only():
+    gf9 = make_field(3, 2, (1, 0, 1))
+    assert make_field(3, 2, np.array([4, 0, 1])) == make_field(3, 2, (1.0, 0, 1)) == gf9
+    assert all(type(c) is int for c in make_field(3, 2, np.array([1, 0, 1])).modulus)
+    with pytest.raises(ValueError):
+        make_field(3, 2, (1.5, 0, 1))  # once built a spec with a 1.5 coefficient
 
 
 def test_default_modulus_is_deterministic():
@@ -108,13 +115,13 @@ def test_arith_gf9_examples(gf9):
     x_elem = (0, 1)
     assert ff_arith(gf9, x_elem, x_elem, "mul") == (2, 0)  # X^2 = -1 = 2
     a = (1, 2)
-    assert ff_arith(gf9, a, zero(gf9), "add") == a
+    assert ff_arith(gf9, a, (0, 0), "add") == a
     with pytest.raises(ValueError):
         ff_arith(gf9, a, a, "pow")
 
 
 def test_trace_examples(gf9):
-    assert trace(gf9, zero(gf9)) == 0
+    assert trace(gf9, (0, 0)) == 0
     assert trace(gf9, one(gf9)) == 2  # 1 + 1^3
     assert trace(gf9, (0, 1)) == 0  # X + X^3 = X - X
 
@@ -124,7 +131,7 @@ def test_trace_matches_power_sum_oracle(p, r):
     spec = make_field(p, r)
     for i in range(spec.q):
         x = element_from_index(spec, i)
-        acc = zero(spec)
+        acc = (0,) * r
         for j in range(r):
             acc = ff_arith(spec, acc, ff_pow(spec, x, p**j), "add")
         assert acc[1:] == (0,) * (r - 1)
@@ -151,7 +158,7 @@ def test_trace_linearity_exhaustive(p, r):
 
 
 def test_character_examples(gf9):
-    assert quadratic_character(gf9, zero(gf9)) == 0
+    assert quadratic_character(gf9, (0, 0)) == 0
     assert quadratic_character(gf9, one(gf9)) == 1
     assert quadratic_character(gf9, (2, 0)) == 1  # X^2 = 2
     with pytest.raises(EvenCharacteristic):
@@ -165,16 +172,27 @@ def test_character_refuses_a_malformed_element(gf9, element):
         quadratic_character(gf9, element)
 
 
-def test_character_reports_a_shared_factor_of_a_reducible_modulus():
-    spec = FieldSpec(3, 2, (2, 0, 1))  # X^2 - 1 = (X - 1)(X + 1), not a field
-    raised = set()
-    for i in range(spec.q):
-        x = element_from_index(spec, i)
-        try:
-            assert quadratic_character(spec, x) in (0, 1, -1)
-        except ReducibleModulus:
-            raised.add(x)
-    assert raised == {(1, 1), (2, 1), (1, 2), (2, 2)}  # the multiples of X - 1 and X + 1
+@pytest.mark.parametrize("args", [
+    (3, 2, (2, 0, 1)),  # X^2 - 1 = (X - 1)(X + 1): Tr(X) once left Z_3
+    (2, 2, (0, 1, 1)),  # X^2 + X = X(X + 1): its trace coordinates once repeated
+])
+def test_field_spec_refuses_a_reducible_modulus(args):
+    with pytest.raises(ReducibleModulus):
+        FieldSpec(*args)
+
+
+@pytest.mark.parametrize("args,error", [
+    ((3, 3, (1, 0, 1)), ValueError),  # degree 2, not r = 3: its oracle once gave f(0) = 1
+    ((3, 2, (1, 0, 2)), ValueError),  # not monic
+    ((3, 2, (1, 3, 1)), ValueError),  # a coefficient outside [0, 3)
+    ((3, 2, (1.0, 0, 1)), ValueError),
+    ((3, 2, [1, 0, 1]), ValueError),  # a list, not a tuple
+    ((3, 0, (1,)), ValueError),
+    ((4, 1, (0, 1)), NotPrime),
+])
+def test_field_spec_refuses_a_malformed_spec(args, error):
+    with pytest.raises(error):
+        FieldSpec(*args)
 
 
 @pytest.mark.parametrize("p,r", ODD_FIELD_PARAMS)
@@ -202,7 +220,7 @@ def test_character_multiplicative_exhaustive(p, r):
 
 def test_trace_coordinates_examples(gf9):
     coords = trace_coordinates(gf9)
-    assert tuple(coords[element_to_index(gf9, zero(gf9))]) == (0, 0)
+    assert tuple(coords[element_to_index(gf9, (0, 0))]) == (0, 0)
     assert tuple(coords[element_to_index(gf9, one(gf9))]) == (2, 0)
     assert not coords.flags.writeable
 
@@ -230,9 +248,10 @@ def test_element_encoding_roundtrip():
     assert element_from_index(spec, 7) == (2, 1, 0)  # 7 = 2 + 1*5
 
 
-@pytest.mark.parametrize("element", [(3, 0), (1, -1), (1,), (0, 1, 0)])
+@pytest.mark.parametrize("element", [(3, 0), (1, -1), (1,), (0, 1, 0), (1.0, 0), (1.5, 0),
+                                     (True, 0)])
 def test_element_to_index_refuses_a_malformed_element(gf9, element):
-    # (3, 0) would read as index 3, the index of (0, 1)
+    # (3, 0) would read as index 3, the index of (0, 1); (1.5, 0) once read as 1.5
     with pytest.raises(ValueError):
         element_to_index(gf9, element)
 
@@ -245,7 +264,7 @@ def test_ff_pow_refuses_a_negative_exponent(gf9):
 
 def test_negation(gf9):
     a = (1, 2)
-    assert ff_arith(gf9, a, ff_neg(gf9, a), "add") == zero(gf9)
+    assert ff_arith(gf9, a, ff_neg(gf9, a), "add") == (0, 0)
 
 
 def test_poly_text_roundtrip(gf9):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from charshift import oracles
 from charshift.algorithms import prepare_character_state
 from charshift.errors import (
     DomainViolation,
@@ -28,6 +29,15 @@ def test_legendre_oracle_examples():
     assert oracle.query(0) == -1  # (3/7)
     assert oracle.query(4) == 0  # 7 divides 4 + 3
     assert sum(1 for x in range(7) if oracle.query(x) == 0) == 1
+
+
+def test_unknown_modulus_above_sqrt_m_is_refused_before_factoring(monkeypatch):
+    def no_factoring(n):
+        raise AssertionError(f"factor_trial({n}) called for n^2 >= M")
+
+    monkeypatch.setattr(oracles, "factor_trial", no_factoring)
+    with pytest.raises(ModulusTooLargeForM):  # (10^9 + 7)(10^9 + 9): a minute of trial division
+        jacobi_unknown_oracle(1000000016000000063, 65536, shift=0)
 
 
 def test_jacobi_oracle_zero_shift():

@@ -18,9 +18,7 @@ from charshift.algorithms import (
     _verify_legendre,
     prepare_character_state,
 )
-from charshift.errors import SingularTraceMatrix
 from charshift.finite_field import (
-    FieldSpec,
     _mul_digits,
     character_table,
     digit_table,
@@ -479,14 +477,3 @@ def test_trace_coordinates_row_is_trace_of_basis_multiples(shape, data):
     powers = [element_from_index(fld, fld.p**i) for i in range(fld.r)]  # X^i
     want = [int(trace(fld, ff_arith(fld, x, xi, "mul"))) for xi in powers]
     assert trace_coordinates(fld)[idx].tolist() == want
-
-
-@pytest.mark.parametrize("bad", [
-    FieldSpec(3, 2, (2, 0, 1)),  # X^2 + 2 = (X - 1)(X + 1): Tr(X) leaves Z_3
-    FieldSpec(2, 2, (0, 1, 1)),  # X^2 + X = X(X + 1): traces in Z_2, rows repeat
-])
-def test_singular_spec_is_refused_by_the_trace_tables(bad):
-    with pytest.raises(SingularTraceMatrix):
-        trace_coordinates(bad)
-    with pytest.raises(SingularTraceMatrix):
-        trace_fourier_transform(basis_state(bad.q, 0), bad)

@@ -119,6 +119,19 @@ def test_apply_phase_ignores_unoccupied_slots():
     assert np.allclose(out.amps, state.amps)
 
 
+def test_apply_phase_refuses_a_nan_phase_at_an_occupied_index():
+    with pytest.raises(NonUnitPhase):
+        apply_phase(basis_state(2, 0), [math.nan, 1.0])
+    assert apply_phase(basis_state(2, 0), [1.0, math.nan]).amps.tolist() == [1, 0]
+
+
+def test_permute_basis_refuses_a_non_integer_map():
+    with pytest.raises(NotBijective):  # once truncated to the swap [1, 0]
+        permute_basis(basis_state(2, 0), [1.7, 0.2])
+    with pytest.raises(NotBijective):
+        permute_basis(basis_state(2, 0), [True, False])
+
+
 def test_permute_basis():
     state = random_state(15, seed=1)
     xs = np.arange(15)
