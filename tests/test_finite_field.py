@@ -172,6 +172,15 @@ def test_character_refuses_a_malformed_element(gf9, element):
         quadratic_character(gf9, element)
 
 
+def test_character_reports_a_shared_factor_of_a_reducible_modulus():
+    # X^2 - 1 = (X - 1)(X + 1): the multiples of X - 1 and X + 1 once made the
+    # character raise; now no spec over this modulus reaches the character
+    with pytest.raises(ReducibleModulus):
+        FieldSpec(3, 2, (2, 0, 1))
+    with pytest.raises(ReducibleModulus):
+        make_field(3, 2, (2, 0, 1))
+
+
 @pytest.mark.parametrize("args", [
     (3, 2, (2, 0, 1)),  # X^2 - 1 = (X - 1)(X + 1): Tr(X) once left Z_3
     (2, 2, (0, 1, 1)),  # X^2 + X = X(X + 1): its trace coordinates once repeated
