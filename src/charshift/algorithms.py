@@ -12,9 +12,10 @@ short register and its repetition on a larger one.
 
 import logging
 import math
+import threading
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -141,43 +142,59 @@ def prepare_character_state(oracle: ShiftOracle, dim: int, rng=None):
     the oracle's int8 digit column beside the shared 16-byte-per-slot
     uniform amplitudes.  Every solve and analysis allocates its registers
     here.  Its temporaries peak near 26 bytes per slot, 26 MiB at dim =
-    2^20: 8-byte squared magnitudes with the 16-byte (dim, 2) masses of
-    digits 1 and 2 or the 16-byte zero branch, a 1-byte mask and the digit
-    column; the accepted amplitudes come after and are scaled in place.  A
-    dim above MAX_REGISTER_DIM raises DomainTooLarge before any allocation
-    or query.
+    2^20: 8-byte squared magnitudes, the 16-byte (dim, 2) masses, a 1-byte
+    mask and the digit column.  The output comes after the masses are
+    freed, and its float64 parts are built in place, bit for bit as numpy's
+    complex arithmetic gives them.  A dim above MAX_REGISTER_DIM raises
+    DomainTooLarge before any allocation or query.
     """
     if dim > MAX_REGISTER_DIM:
         raise DomainTooLarge(f"register of dimension {dim} exceeds {MAX_REGISTER_DIM}")
     uniform = _uniform_state(dim).amps
     digits = oracle.value_query_superposed(dim)
     weights = np.abs(uniform) ** 2
-    # zeros kept where the full register x*3 + digit has them: the same sums, bit for bit
-    zero_prob = float(np.sum(np.where(digits == 0, weights, 0.0)))
-    if rng is not None and rng.random() < zero_prob:
-        zero_state = np.where(digits == 0, uniform, 0)
-        zero_state /= math.sqrt(zero_prob)
-        return False, _trusted(zero_state), zero_prob
-    pair = np.empty((dim, 2))
-    for g in (1, 2):  # weights >= 0, so w * 1 = w and w * 0 = +0.0 as np.where gives
-        np.multiply(weights, digits == g, out=pair[:, g - 1])
-    nonzero_prob = float(np.sum(pair))
-    del weights, pair
-    amps = uniform / math.sqrt(nonzero_prob)
-    amps[digits == 0] = 0
-    np.negative(amps, out=amps, where=digits == 2)  # the phase of a -1 value
-    # amps is nonzero where digits is: no uniform amplitude is zero
+    masses = np.empty((dim, 2))  # the zero branch's, then those of digits 1 and 2
+    # weights > 0, so w * True = w and w * False = +0.0 as np.where gives: the
+    # sums of the full register x*3 + digit, bit for bit
+    prob = zero_prob = float(np.sum(np.multiply(weights, digits == 0, out=masses.ravel()[:dim])))
+    if accepted := rng is None or rng.random() >= zero_prob:
+        for g in (1, 2):
+            np.multiply(weights, digits == g, out=masses[:, g - 1])
+        prob = float(np.sum(masses))
+    del weights, masses
+    # numpy divides complex a by real c as ((ar + ai*0), (ai - ar*0)) * (1/c); every
+    # uniform real part is > 0, so both parts of a kept amplitude are products
+    out = np.where(digits != 0 if accepted else digits == 0, uniform, 0)
+    parts = out.view(np.float64)  # re, im, re, im, ...
+    parts *= 1 / math.sqrt(prob)
+    if not accepted:
+        return False, _trusted(out), zero_prob
+    # out is nonzero where digits is: no uniform amplitude is zero
     if np.any((oracle.value_query_superposed(dim, digits) != 0) & (digits != 0)):
         raise DomainViolation("the second query left the result register computed")
-    weights = np.abs(amps)
-    mass = _check_norm(float(np.sum(np.square(weights, out=weights))))
-    amps /= math.sqrt(mass)  # the norm divided out, as a discard does
-    return True, _trusted(amps), zero_prob
+    values = (digits - 3 * (digits >> 1)).astype(np.float64)  # v of the digit v mod 3
+    parts[0::2] *= values  # -1 is the phase of a -1 value
+    parts[1::2] *= values
+    # a complex division by the norm would give (im - re*0) / c, +0 and not -0
+    # where re < 0; v * -0.0 is +0 there and -0, which keeps any zero, elsewhere
+    parts[1::2] += np.multiply(values, -0.0, out=values)
+    weights = np.square(np.abs(out, out=values), out=values)  # in values' spent buffer
+    parts *= 1 / math.sqrt(_check_norm(float(np.sum(weights))))  # discarding divides the norm out
+    return True, _trusted(out), zero_prob
 
 
-@lru_cache(maxsize=4)  # frozen, so shareable; np.full is not bit-equal (dim = 89)
+_UNIFORM_CACHE_BYTES = 32 << 20  # two uniform states of MAX_REGISTER_DIM slots
+_uniform_cache: dict = {}  # dim -> uniform state, the least recently used first
+_uniform_lock = threading.Lock()
+
+
 def _uniform_state(dim: int) -> StateVector:
-    return qft(basis_state(dim, 0))
+    # frozen, so shareable; np.full is not bit-equal (dim = 89)
+    with _uniform_lock:
+        _uniform_cache[dim] = _uniform_cache.pop(dim, None) or qft(basis_state(dim, 0))
+        while 16 * sum(_uniform_cache) > _UNIFORM_CACHE_BYTES:  # 16 bytes a slot
+            del _uniform_cache[next(iter(_uniform_cache))]
+        return _uniform_cache[dim]
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +339,11 @@ def _las_vegas(oracle, dim, rng, stage, decode, decode_zero, verify):
     decoder returns None to reject.  The first candidate that verify accepts
     is returned.  rng is drawn for preparation, then measurement; candidate
     checks are deterministic, though verify may run a nested solve.  Each
-    failed attempt is logged at DEBUG level.  A missing rng is refused
-    before any query.
+    failed attempt is logged at DEBUG level.  An rng that is not a
+    np.random.Generator is refused before any query.
     """
-    if rng is None:
-        raise ValueError("a solve needs an rng")
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError(f"a solve needs a np.random.Generator, not {rng!r}")
     q0, c0 = oracle.phase_query_count, oracle.query_count
     for attempt in range(1, MAX_ATTEMPTS + 1):
         accepted, state, zero_prob = prepare_character_state(oracle, dim, rng)

@@ -95,25 +95,34 @@ def legendre(x: int, p: int) -> int:
     return 1 if pow(x, (p - 1) // 2, p) == 1 else -1
 
 
+def _is_integer(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
+
+
 def jacobi(x: int, n: int) -> int:
     """Jacobi symbol of x modulo odd n >= 1, via quadratic reciprocity.
 
     Never factors n, so a Jacobi-symbol oracle can be evaluated without
-    revealing the factorization it hides.
+    revealing the factorization it hides.  A float or bool argument is
+    refused with ValueError; numpy integers count as integers.
     """
+    if type(x) is not int or type(n) is not int:  # numpy integers become ints
+        if not (_is_integer(x) and _is_integer(n)):
+            raise ValueError(f"jacobi takes integers, not {x!r} and {n!r}")
+        x, n = int(x), int(n)
     if n < 1 or n % 2 == 0:
         raise EvenInput(f"modulus {n} must be odd and positive")
     x %= n
     acc = 1
     while x:
-        while x % 2 == 0:
-            x //= 2
-            if n % 8 in (3, 5):
+        if not x & 1:
+            twos = (x & -x).bit_length() - 1  # every factor 2 at once
+            x >>= twos
+            if twos & 1 and n % 8 in (3, 5):
                 acc = -acc
-        x, n = n, x
-        if x % 4 == 3 and n % 4 == 3:
+        if x & n & 2:  # reciprocity: both are 3 mod 4
             acc = -acc
-        x %= n
+        x, n = n % x, x
     return acc if n == 1 else 0
 
 
@@ -133,8 +142,8 @@ def _jacobi_row(factors, shift: int = 0, size=None) -> np.ndarray:
     n = math.prod(factors)
     out = np.ones(n, dtype=np.int8)
     for p in factors:
-        out *= np.resize(np.roll(_legendre_table(p), -(shift % p)), n)
-    return out if size is None else np.resize(out, size)
+        out *= np.tile(np.roll(_legendre_table(p), -(shift % p)), n // p)
+    return out if size is None else np.tile(out, -(-size // n))[:size]
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,8 @@ from .errors import (
     NotOddPrime,
     ShiftOutOfRange,
 )
-from .number_theory import _jacobi_row, factor_trial, is_odd_prime, jacobi, legendre
+from .number_theory import (_is_integer, _jacobi_row, factor_trial, is_odd_prime, jacobi,
+                            legendre)
 
 RESULT_DIM = 3
 
@@ -112,10 +113,6 @@ class ShiftOracle:
         values.flags.writeable = False
         self._bump("_phase_query_count")
         return values
-
-
-def _is_integer(value) -> bool:
-    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
 
 
 def _draw_or_check(value, size, rng, label):

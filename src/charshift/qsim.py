@@ -66,8 +66,8 @@ def _trusted(amps: np.ndarray) -> StateVector:
 
 def basis_state(dim: int, index: int) -> StateVector:
     """Unit amplitude at one index."""
-    if not 0 <= index < dim:
-        raise ValueError(f"index {index} outside dimension {dim}")
+    if not isinstance(index, (int, np.integer)) or not 0 <= index < dim:
+        raise ValueError(f"index {index!r} outside dimension {dim}")
     amps = np.zeros(dim, dtype=np.complex128)
     amps[index] = 1.0
     return _trusted(amps)
@@ -86,6 +86,8 @@ def _fourier(amps: np.ndarray, shape, axes, inverse: bool) -> np.ndarray:
     # The one Fourier routine: an orthonormal DFT over the given axes of amps
     # viewed as shape (axes=None: all of them).  numpy's ifft carries this
     # package's +2*pi*i forward sign, so the inverse is numpy's fft.
+    if not isinstance(inverse, bool):
+        raise ValueError(f"inverse must be a bool, not {inverse!r}")
     fourier = np.fft.fftn if inverse else np.fft.ifftn
     return fourier(amps.reshape(shape), axes=axes, norm="ortho").reshape(-1)
 
@@ -153,9 +155,13 @@ def project(state: StateVector, mask):
 
 
 def measure(state: StateVector, rng) -> int:
-    """Sample an index from |amps|^2."""
-    probs = distribution(state)
-    return int(rng.choice(state.dim, p=probs / _check_norm(float(probs.sum()))))
+    """Sample an index from |amps|^2 by the inverse CDF of Generator.choice(dim,
+    p=...), in place on one array: the same index from the same rng.random()."""
+    cdf = distribution(state)
+    cdf /= _check_norm(float(cdf.sum()))
+    np.cumsum(cdf, out=cdf)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 @dataclass(frozen=True)
@@ -211,8 +217,8 @@ def trace_fourier_transform(
     if not inverse:
         permuted = np.empty(q, dtype=np.complex128)
         permuted[sigma] = amps[:q]
-        amps[:q] = _fourier(permuted, dims, None, False)
+        amps[:q] = _fourier(permuted, dims, None, inverse)
     else:
-        amps[:q] = _fourier(amps[:q], dims, None, True)[sigma]
+        amps[:q] = _fourier(amps[:q], dims, None, inverse)[sigma]
     return _trusted(amps)
 

@@ -39,6 +39,23 @@ def jacobi_row_by_product(n: int) -> np.ndarray:
     return row
 
 
+def jacobi_by_reciprocity(x: int, n: int) -> int:
+    """The Jacobi symbol of x modulo odd n >= 1 by quadratic reciprocity, one
+    factor 2 and one swap at a time: the reference for number_theory.jacobi."""
+    x %= n
+    acc = 1
+    while x:
+        while x % 2 == 0:
+            x //= 2
+            if n % 8 in (3, 5):
+                acc = -acc
+        x, n = n, x
+        if x % 4 == 3 and n % 4 == 3:
+            acc = -acc
+        x %= n
+    return acc if n == 1 else 0
+
+
 def jacobi_full_period_verdict(n: int, shift: int, cand: int) -> bool:
     """Whether J(x + cand, n) equals J(x + shift, n) at every x in Z_n."""
     row = jacobi_row_by_product(n)

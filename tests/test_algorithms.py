@@ -168,6 +168,9 @@ def test_sjsp_collapse_rate_statistics():
     (partial(field_oracle, make_field(3, 2), shift=(1, 2)), 10),  # dummy slot at q
     (partial(jacobi_unknown_oracle, 21, 1 << 14, shift=4), 1 << 14),
     (partial(jacobi_unknown_oracle, 21, 1024, shift=4), 21),  # the sub-solve's register
+    (partial(jacobi_unknown_oracle, 5, 89, shift=2), 89),  # nonzero imaginary parts
+    (partial(jacobi_unknown_oracle, 21, 1132, shift=4), 1132),  # some are -0
+    (partial(jacobi_unknown_oracle, 33, 2032, shift=7), 2032),  # some are -0
 ])
 def test_lazy_zero_branch_matches_eager_preparation(make_oracle, dim):
     # seed 34 draws the 1/101 zero branch at p = 101
@@ -180,6 +183,13 @@ def test_lazy_zero_branch_matches_eager_preparation(make_oracle, dim):
 ])
 def test_lazy_preparation_matches_eager_at_benchmark_sizes(make_oracle, dim):
     assert_lazy_matches_eager(make_oracle, dim, range(8))
+
+
+def test_lazy_field_preparation_matches_eager_with_nonzero_imaginary_parts():
+    # q + 1 = 19^2 + 1 = 362 slots, where the uniform state has nonzero
+    # imaginary parts; seed 416 draws the 1/362 zero branch
+    make_oracle = partial(field_oracle, make_field(19, 2), shift=(3, 5))
+    assert_lazy_matches_eager(make_oracle, 362, [*range(8), 416])
 
 
 def assert_lazy_matches_eager(make_oracle, dim, seeds):
@@ -460,15 +470,17 @@ def test_field_oracle_over_another_modulus_is_refused():
 
 
 def test_solvers_refuse_a_missing_rng_before_any_query():
-    for solve, instance, oracle in (
-        (solve_slsp, 7, legendre_oracle(7, shift=3)),
-        (solve_sjsp, factor_trial(15), jacobi_oracle(15, shift=2)),
-        (solve_sjsp_unknown_n, 1024, jacobi_unknown_oracle(21, 1024, shift=4)),
-        (solve_sqcp, make_field(3, 2), field_oracle(make_field(3, 2), shift=(1, 2))),
-    ):
-        with pytest.raises(ValueError):
-            solve(instance, oracle, None)
-        assert oracle.phase_query_count == 0 and oracle.query_count == 0
+    # None, or anything else that is not a np.random.Generator
+    for rng in (None, 42, np.random.RandomState(0), np.random.default_rng):
+        for solve, instance, oracle in (
+            (solve_slsp, 7, legendre_oracle(7, shift=3)),
+            (solve_sjsp, factor_trial(15), jacobi_oracle(15, shift=2)),
+            (solve_sjsp_unknown_n, 1024, jacobi_unknown_oracle(21, 1024, shift=4)),
+            (solve_sqcp, make_field(3, 2), field_oracle(make_field(3, 2), shift=(1, 2))),
+        ):
+            with pytest.raises(ValueError):
+                solve(instance, oracle, rng)
+            assert oracle.phase_query_count == 0 and oracle.query_count == 0
 
 
 @pytest.mark.parametrize("shift", [0, 1, 17, 52, 104])

@@ -28,7 +28,13 @@ from charshift.number_theory import (
     jacobi,
     legendre,
 )
-from helpers import jacobi_row_by_product, odd_squarefree_up_to, prime_sieve, squares_mod
+from helpers import (
+    jacobi_by_reciprocity,
+    jacobi_row_by_product,
+    odd_squarefree_up_to,
+    prime_sieve,
+    squares_mod,
+)
 
 ODD_PRIMES_TO_101 = [p for p in range(3, 102, 2) if is_prime(p)]
 
@@ -112,6 +118,27 @@ def test_jacobi_rejects_even_modulus():
         jacobi(3, 10)
     with pytest.raises(EvenInput):
         jacobi(3, 0)
+
+
+def test_jacobi_matches_the_reference_exhaustively():
+    # every residue of every odd modulus below 1500, square factors included
+    for n in range(1, 1500, 2):
+        assert [jacobi(x, n) for x in range(n)] == [
+            jacobi_by_reciprocity(x, n) for x in range(n)], f"mismatch at n={n}"
+
+
+@settings(deadline=None, max_examples=300)
+@given(x=st.integers(-(2**64), 2**64), n=st.integers(0, 2**63 - 1))
+def test_jacobi_matches_the_reference_up_to_2_to_the_64(x, n):
+    n = 2 * n + 1
+    assert jacobi(x, n) == jacobi_by_reciprocity(x, n)
+    assert jacobi(np.int64(x % 2**63), np.uint64(n)) == jacobi_by_reciprocity(x % 2**63, n)
+
+
+@pytest.mark.parametrize("x, n", [(2.5, 7), (3, 7.0), (True, 7), (3, True), (3.0, 7), ("3", 7)])
+def test_jacobi_refuses_what_is_not_an_integer(x, n):
+    with pytest.raises(ValueError):
+        jacobi(x, n)
 
 
 def test_jacobi_product_identity_and_balance_exhaustive():

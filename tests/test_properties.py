@@ -32,6 +32,7 @@ from charshift.finite_field import (
     trace_coordinates,
 )
 from charshift.number_theory import (
+    _jacobi_row,
     _legendre_table,
     factor_trial,
     gauss_sum_bruteforce,
@@ -50,6 +51,7 @@ from charshift.qsim import (
     StateVector,
     apply_phase,
     basis_state,
+    measure,
     normalized,
     permute_basis,
     project,
@@ -209,6 +211,16 @@ def test_legendre_table_matches_enumeration_and_symbol(p):
     table = _legendre_table(p)
     assert np.array_equal(table, legendre_table(p))
     assert table.tolist() == [legendre(y, p) for y in range(p)]
+
+
+@checked
+@given(n=odd_squarefree(400), data=st.data())
+def test_jacobi_row_is_the_scalar_symbol_over_any_size(n, data):
+    s = data.draw(st.integers(0, n - 1))
+    size = data.draw(st.one_of(st.none(), st.integers(0, 3 * n + 5), st.integers(0, 5000)))
+    row = _jacobi_row(factor_trial(n).factors, s, size)
+    assert row.dtype == np.int8
+    assert row.tolist() == [jacobi(x + s, n) for x in range(n if size is None else size)]
 
 
 @checked
@@ -477,3 +489,21 @@ def test_trace_coordinates_row_is_trace_of_basis_multiples(shape, data):
     powers = [element_from_index(fld, fld.p**i) for i in range(fld.r)]  # X^i
     want = [int(trace(fld, ff_arith(fld, x, xi, "mul"))) for xi in powers]
     assert trace_coordinates(fld)[idx].tolist() == want
+
+
+@checked
+@given(dim=st.integers(1, 1 << 16), kind=st.sampled_from(["sparse", "dense", "fourier"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_measure_draws_what_generator_choice_draws(dim, kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "dense":
+        state = random_state(dim, seed)
+    else:  # a few occupied slots, or their Fourier transform
+        amps = np.zeros(dim, dtype=np.complex128)
+        occupied = rng.choice(dim, size=min(dim, 3), replace=False)
+        amps[occupied] = rng.normal(size=occupied.size) + 1j * rng.normal(size=occupied.size)
+        state = normalized(amps) if kind == "sparse" else qft(normalized(amps))
+    probs = np.abs(state.amps) ** 2
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert measure(state, ours) == theirs.choice(dim, p=probs / float(probs.sum()))
+    assert ours.random() == theirs.random()  # the same draws were taken

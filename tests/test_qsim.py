@@ -35,6 +35,9 @@ def test_basis_state():
     assert basis_state(1, 0).amps[0] == 1  # degenerate single-slot register
     with pytest.raises(ValueError):
         basis_state(5, 5)
+    with pytest.raises(ValueError):
+        basis_state(4, 1.5)
+    assert basis_state(4, np.int64(2)).amps[2] == 1
 
 
 def test_state_norm_enforced():
@@ -96,6 +99,18 @@ def test_qft_matches_literal_kernel_on_mixed_radix_sizes(dim):
             assert np.max(np.abs(column - kernel)) < 1e-9
         out = qft(StateVector(amps), inverse=inverse).amps
         assert np.max(np.abs(out - dft_direct(amps, sign))) < 1e-9
+
+
+@pytest.mark.parametrize("inverse", ["no", 1, None, np.True_])
+def test_fourier_transforms_refuse_an_inverse_that_is_not_a_bool(inverse):
+    state = random_state(9)
+    for transform in (
+        lambda: qft(state, inverse),
+        lambda: qft_factor(state, RegisterLayout((3, 3)), 1, inverse),
+        lambda: trace_fourier_transform(state, make_field(3, 2), inverse),
+    ):
+        with pytest.raises(ValueError):
+            transform()
 
 
 def test_apply_phase():
