@@ -22,7 +22,7 @@ from itertools import product as _cartesian
 import numpy as np
 
 from .errors import EvenCharacteristic, NotPrime, ReducibleModulus
-from .number_theory import is_prime
+from .number_theory import _is_integer, is_prime
 
 FieldElement = tuple[int, ...]
 
@@ -49,7 +49,7 @@ class FieldSpec:
         if type(modulus) is not tuple:
             raise ValueError(f"modulus {modulus!r} is not a tuple")
         _check_coefficients(p, modulus, r + 1, "modulus")
-        if not is_irreducible(p, modulus):  # which refuses a modulus that is not monic
+        if not _irreducible(p, modulus):  # which refuses a modulus that is not monic
             raise ReducibleModulus(f"{modulus} factors over Z_{p}")
 
     @property
@@ -83,7 +83,14 @@ def _poly_mod(p, poly, monic):
 
 def is_irreducible(p: int, poly) -> bool:
     """Trial division by every monic divisor of degree at most deg/2."""
+    if not (_is_integer(p) and is_prime(int(p))):
+        raise NotPrime(f"{p!r} is not prime")
     poly = tuple(poly)
+    _check_coefficients(p, poly, len(poly), "polynomial")
+    return _irreducible(p, poly)
+
+
+def _irreducible(p, poly) -> bool:  # for a prime p and a tuple in [0, p), checked by callers
     deg = len(poly) - 1
     if deg < 1 or poly[-1] != 1:
         raise ValueError("polynomial must be monic of degree >= 1")
@@ -100,7 +107,7 @@ def _default_modulus(p: int, r: int) -> tuple[int, ...]:
     # reproducible across runs.
     for tail in _cartesian(range(p), repeat=r):
         candidate = tuple(tail) + (1,)
-        if is_irreducible(p, candidate):
+        if _irreducible(p, candidate):
             return candidate
     raise AssertionError("unreachable: irreducible polynomials exist for every degree")
 
@@ -203,6 +210,8 @@ def _basis_traces(spec: FieldSpec) -> tuple[int, ...]:
 def trace(spec: FieldSpec, x):
     """Tr(x) in {0, .., p-1}, linear in the digits of x through precomputed Tr(X^j);
     an array of digit rows (digits on the last axis) gives one trace per row."""
+    if not isinstance(x, np.ndarray):  # one element, checked like every other
+        _check_coefficients(spec.p, x, spec.r)
     return np.asarray(x) @ np.array(_basis_traces(spec)[: spec.r]) % spec.p
 
 

@@ -80,23 +80,30 @@ def is_prime(n: int) -> bool:
                          f"{_MR_BOUNDS[-1]}, beyond the proven range")
 
 
+@lru_cache(maxsize=256, typed=True)  # proven once; typed keeps 7, 7.0 and True apart
 def is_odd_prime(n: int) -> bool:
     """Whether n is a prime other than 2, the moduli the Legendre symbol takes."""
     return n != 2 and is_prime(n)
 
 
+def _is_integer(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
+
+
 def legendre(x: int, p: int) -> int:
-    """Quadratic residue symbol of x modulo an odd prime p, in {-1, 0, +1}."""
+    """Quadratic residue symbol of x modulo an odd prime p, in {-1, 0, +1}: one Euler
+    power, p proven prime once by is_odd_prime's cache.  A float or bool argument is
+    refused with ValueError; numpy integers become ints."""
+    if type(x) is not int or type(p) is not int:  # numpy integers become ints
+        if not (_is_integer(x) and _is_integer(p)):
+            raise ValueError(f"legendre takes integers, not {x!r} and {p!r}")
+        x, p = int(x), int(p)
     if not is_odd_prime(p):
         raise NotOddPrime(f"{p} is not an odd prime")
     x %= p
     if x == 0:
         return 0
     return 1 if pow(x, (p - 1) // 2, p) == 1 else -1
-
-
-def _is_integer(value) -> bool:
-    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
 
 
 def jacobi(x: int, n: int) -> int:

@@ -7,8 +7,8 @@ the way a reversible circuit would, so that applying it twice uncomputes it.
 The coherent counter keeps the name phase_query_count: a value query followed
 by a sign flip on the result is the phase query the algorithms need.
 
-Coherent queries read one whole-domain table from the constructor's builder: for
-Jacobi a product of per-prime Legendre rows over a period, point by point otherwise.
+Coherent queries read one whole-domain table from the constructor's builder: for Jacobi
+per-prime Legendre rows, otherwise one symbol call per shifted point x + s, in index order.
 
 Result register encoding: a function value v in {-1, 0, +1} is stored as the
 digit v mod 3.  A coherent query acts on states sum_x a_x |x>|g(x)>, with one
@@ -20,6 +20,7 @@ clears a computed one.
 
 import threading
 from functools import partial
+from itertools import product, repeat
 
 import numpy as np
 
@@ -133,17 +134,14 @@ def _field_shift(fld: ff.FieldSpec, shift) -> ff.FieldElement:
     return tuple(int(c) for c in coeffs)
 
 
-def _per_point(point_fn, size):
-    return lambda: np.fromiter((point_fn(x) for x in range(size)), dtype=np.int8, count=size)
-
-
 def legendre_oracle(p: int, shift=None, rng=None) -> ShiftOracle:
     """f(x) = legendre(x + s, p) on Z_p with hidden s."""
     if not is_odd_prime(p):
         raise NotOddPrime(f"{p} is not an odd prime")
     s = _draw_or_check(shift, p, rng, "shift")
-    point = lambda x: legendre(x + s, p)
-    return ShiftOracle(VARIANT_LEGENDRE, p, point, _per_point(point, p))
+    # legendre is looked up per build, so a tracer that rebinds it sees every call
+    table = lambda: np.fromiter(map(legendre, range(s, s + p), repeat(p)), np.int8, p)
+    return ShiftOracle(VARIANT_LEGENDRE, p, lambda x: legendre(x + s, p), table)
 
 
 def jacobi_oracle(n: int, shift=None, rng=None) -> ShiftOracle:
@@ -183,4 +181,8 @@ def field_oracle(fld: ff.FieldSpec, shift=None, rng=None) -> ShiftOracle:
         elem = ff.element_from_index(fld, x)
         return ff.quadratic_character(fld, ff.ff_arith(fld, elem, s, "add"))
 
-    return ShiftOracle(VARIANT_FIELD, fld.q, point, _per_point(point, fld.q), field=fld)
+    # x + s in index order: coordinate 0 varies fastest, so it is product's last
+    rotated = [[(c + sj) % fld.p for c in range(fld.p)] for sj in reversed(s)]
+    char = lambda elem: ff.quadratic_character(fld, elem[::-1])
+    table = lambda: np.fromiter(map(char, product(*rotated)), np.int8, fld.q)
+    return ShiftOracle(VARIANT_FIELD, fld.q, point, table, field=fld)

@@ -80,6 +80,19 @@ def test_is_irreducible_examples():
         is_irreducible(3, (1,))
 
 
+@pytest.mark.parametrize("p, poly", [(3, (5, 0, 1)), (3, (1, 0, 1.0)), (3, (True, 0, 1)),
+                                     (3, (-1, 0, 1))])
+def test_is_irreducible_refuses_coefficients_outside_z_p(p, poly):
+    with pytest.raises(ValueError):
+        is_irreducible(p, poly)
+
+
+@pytest.mark.parametrize("p", [4, 1, 0, -3, 2.5, True])
+def test_is_irreducible_refuses_a_p_that_is_not_prime(p):
+    with pytest.raises(NotPrime):
+        is_irreducible(p, (1, 1, 1))
+
+
 def _mobius(n):
     out, d = 1, 2
     while d * d <= n:
@@ -124,6 +137,12 @@ def test_trace_examples(gf9):
     assert trace(gf9, (0, 0)) == 0
     assert trace(gf9, one(gf9)) == 2  # 1 + 1^3
     assert trace(gf9, (0, 1)) == 0  # X + X^3 = X - X
+
+
+@pytest.mark.parametrize("x", [(5, 0), (1.5, 0), (True, 0), (-1, 0), (1,), (1, 0, 0)])
+def test_trace_refuses_an_element_outside_the_field(gf9, x):
+    with pytest.raises(ValueError):
+        trace(gf9, x)
 
 
 @pytest.mark.parametrize("p,r", [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4)])

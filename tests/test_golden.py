@@ -33,6 +33,8 @@ CASES = [
     "slsp --p 13 --trials 40 --seed 1",
     "sqcp --p 3 --r 2 --trials 4 --seed 1",
     "sjsp --n 15 --trials 8 --seed 5 --format csv",
+    "slsp --p 12289 --trials 3 --seed 2",
+    "sqcp --p 5 --r 4 --trials 3 --seed 2",
     # inspection commands
     "gauss --zp 7",
     "gauss --zn 105",

@@ -107,6 +107,25 @@ def test_legendre_rejects_non_odd_primes(p):
             legendre(3, p)
 
 
+@pytest.mark.parametrize("x, p", [(2.5, 7), (3, 7.0), (True, 7), (3, True), (3.0, 7), ("3", 7)])
+def test_legendre_refuses_what_is_not_an_integer(x, p):
+    with pytest.raises(ValueError):
+        legendre(x, p)
+
+
+@pytest.mark.parametrize("x, p", [(np.int64(3), 7), (3, np.int64(7)), (np.int8(-2), np.uint16(13))])
+def test_legendre_takes_numpy_integers_as_ints(x, p):
+    assert legendre(x, p) == legendre(int(x), int(p))
+
+
+def test_a_proven_modulus_does_not_answer_for_other_types():
+    # 7 == 7.0 == np.int64(7) and 3 == 3.0, but the cache of verdicts keeps types apart
+    assert legendre(3, 7) == -1 and is_odd_prime(np.int64(7)) and is_odd_prime(3)
+    for n in (7.0, 3.0):
+        with pytest.raises((TypeError, ValueError)):
+            is_odd_prime(n)
+
+
 def test_jacobi_examples():
     assert jacobi(2, 9) == 1  # +1 without 2 being a square mod 9
     assert jacobi(3, 15) == 0

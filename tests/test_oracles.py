@@ -1,8 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from charshift import finite_field as ff
 from charshift import oracles
 from charshift.algorithms import prepare_character_state
 from charshift.errors import (
@@ -13,8 +17,8 @@ from charshift.errors import (
     NotSquareFree,
     ShiftOutOfRange,
 )
-from charshift.finite_field import element_to_index, make_field
-from charshift.number_theory import jacobi, legendre
+from charshift.finite_field import character_table, digit_table, element_to_index, make_field
+from charshift.number_theory import _legendre_table, is_prime, jacobi, legendre
 from charshift.oracles import (
     field_oracle,
     jacobi_oracle,
@@ -22,6 +26,15 @@ from charshift.oracles import (
     legendre_oracle,
 )
 from charshift.qsim import distribution
+
+ODD_PRIMES_BELOW_2_15 = [p for p in range(3, 2**15, 2) if is_prime(p)]
+TABLE_FIELDS = [(3, 2), (5, 2), (7, 3), (3, 6), (11, 2), (3, 7)]
+
+
+def coherent_table(oracle):
+    """The hidden function over the whole domain, read by one coherent query."""
+    digits = oracle.value_query_superposed(oracle.domain_size)
+    return np.where(digits == 2, -1, digits)
 
 
 def test_legendre_oracle_examples():
@@ -217,3 +230,54 @@ def test_value_query_distribution_sums():
     _, state, zero_prob = prepare_character_state(oracle, 33)
     assert zero_prob == pytest.approx(1 - 20 / 33)  # 1 - phi(33)/33
     assert abs(distribution(state).sum() - 1) < 1e-9
+
+
+@settings(deadline=None, max_examples=40)
+@given(p=st.sampled_from(ODD_PRIMES_BELOW_2_15), s=st.integers(min_value=0))
+def test_legendre_table_matches_the_whole_ring_table_and_the_symbol(p, s):
+    s %= p
+    table = coherent_table(legendre_oracle(p, shift=s))
+    assert np.array_equal(table, np.roll(_legendre_table(p), -s))
+    assert table.tolist() == [legendre(x + s, p) for x in range(p)]
+
+
+@pytest.mark.parametrize("p, r", TABLE_FIELDS)
+def test_field_table_matches_the_character_table_at_shifted_indices(p, r):
+    fld = make_field(p, r)
+    rng = np.random.default_rng(p * 100 + r)
+    for s in [(0,) * r, (p - 1,) * r, tuple(int(c) for c in rng.integers(p, size=r))]:
+        want = character_table(fld)[((digit_table(fld) + s) % p) @ p ** np.arange(r)]
+        assert np.array_equal(coherent_table(field_oracle(fld, shift=s)), want)
+
+
+def test_a_table_costs_one_symbol_call_per_point(monkeypatch):
+    # The benchmark's self-check: each fresh oracle's first coherent query calls the
+    # scalar symbol once per domain point.  The counter goes in after the oracles are
+    # built, as a tracer's would, so a symbol bound at construction goes uncounted.
+    fields = [make_field(3, 2), make_field(5, 3)]
+    fresh = [(legendre_oracle(p, shift=3), "legendre") for p in (7, 7, 1009, 1009)]
+    fresh += [(field_oracle(f, shift=(1,) * f.r), "quadratic_character") for f in fields * 2]
+    calls = []
+    for module, name in ((oracles, "legendre"), (ff, "quadratic_character")):
+        symbol = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _f=symbol, _n=name: calls.append(_n) or _f(*a))
+    for oracle, name in fresh:
+        calls.clear()
+        oracle.value_query_superposed(oracle.domain_size)
+        oracle.value_query_superposed(oracle.domain_size)
+        assert calls == [name] * oracle.domain_size
+
+
+def test_field_tabulation_streams_its_elements(monkeypatch):
+    # A (q, r) list of elements would take megabytes here.  The symbol is stubbed, so
+    # the peak is the table's own and the check runs in a fraction of a second.
+    fld = make_field(3, 10)
+    oracle = field_oracle(fld, shift=(2,) * 10)
+    monkeypatch.setattr(ff, "quadratic_character", lambda fld, x: x[0] - 1)
+    tracemalloc.start()
+    try:
+        oracle.value_query_superposed(1)  # builds the 59049-entry table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
