@@ -66,12 +66,14 @@ from .qsim import (
     apply_phase,
     basis_state,
     distribution,
+    fourier_distribution,
     measure,
     normalized,
     permute_basis,
     project,
     qft,
     qft_factor,
+    sample,
     trace_fourier_transform,
 )
 

@@ -31,6 +31,7 @@ from .errors import (
 )
 from .number_theory import (
     FactoredOddSquarefree,
+    _is_integer,
     _jacobi_row,
     _legendre_table,
     convergents,
@@ -55,11 +56,13 @@ from .qsim import (
     apply_phase,
     basis_state,
     distribution,
+    fourier_distribution,
     measure,
     normalized,
     permute_basis,
     qft,
     qft_factor,
+    sample,
     trace_fourier_transform,
 )
 
@@ -139,20 +142,20 @@ def prepare_character_state(oracle: ShiftOracle, dim: int, rng=None):
     projection, as the exact per-attempt analyses need.
 
     Every state here holds one result digit per slot, so the register is
-    the oracle's int8 digit column beside the shared 16-byte-per-slot
-    uniform amplitudes.  Every solve and analysis allocates its registers
-    here.  Its temporaries peak near 26 bytes per slot, 26 MiB at dim =
-    2^20: 8-byte squared magnitudes, the 16-byte (dim, 2) masses, a 1-byte
-    mask and the digit column.  The output comes after the masses are
-    freed, and its float64 parts are built in place, bit for bit as numpy's
-    complex arithmetic gives them.  A dim above MAX_REGISTER_DIM raises
-    DomainTooLarge before any allocation or query.
+    the oracle's int8 digit column beside the shared uniform amplitudes and
+    their squared magnitudes, cached at 24 bytes per slot.  Every solve and
+    analysis allocates its registers here.  The branch masses take 18 bytes
+    per slot: the 16-byte (dim, 2) masses, a 1-byte mask and the digit
+    column.  Once they are freed, the 16-byte output, 8-byte real values and
+    the digit columns make the peak near 26 bytes per slot, 26 MiB at
+    dim = 2^20.  The output's float64 parts are built in place, bit for bit
+    as numpy's complex arithmetic gives them.  A dim above MAX_REGISTER_DIM
+    raises DomainTooLarge before any allocation or query.
     """
     if dim > MAX_REGISTER_DIM:
         raise DomainTooLarge(f"register of dimension {dim} exceeds {MAX_REGISTER_DIM}")
-    uniform = _uniform_state(dim).amps
+    uniform, weights = _uniform_state(dim)
     digits = oracle.value_query_superposed(dim)
-    weights = np.abs(uniform) ** 2
     masses = np.empty((dim, 2))  # the zero branch's, then those of digits 1 and 2
     # weights > 0, so w * True = w and w * False = +0.0 as np.where gives: the
     # sums of the full register x*3 + digit, bit for bit
@@ -183,18 +186,27 @@ def prepare_character_state(oracle: ShiftOracle, dim: int, rng=None):
     return True, _trusted(out), zero_prob
 
 
-_UNIFORM_CACHE_BYTES = 32 << 20  # two uniform states of MAX_REGISTER_DIM slots
-_uniform_cache: dict = {}  # dim -> uniform state, the least recently used first
+# 24 bytes a slot: 16 of amplitude and 8 of squared magnitude.  So one
+# uniform state of MAX_REGISTER_DIM slots fits, with room for the sub-solves'.
+_UNIFORM_CACHE_BYTES = 32 << 20
+_uniform_cache: dict = {}  # dim -> (amps, |amps|^2), the least recently used first
 _uniform_lock = threading.Lock()
 
 
-def _uniform_state(dim: int) -> StateVector:
-    # frozen, so shareable; np.full is not bit-equal (dim = 89)
+def _uniform_state(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    # The uniform amplitudes and their squared magnitudes, both frozen, so
+    # shareable; np.full is not bit-equal (dim = 89)
     with _uniform_lock:
-        _uniform_cache[dim] = _uniform_cache.pop(dim, None) or qft(basis_state(dim, 0))
-        while 16 * sum(_uniform_cache) > _UNIFORM_CACHE_BYTES:  # 16 bytes a slot
+        entry = _uniform_cache.pop(dim, None)
+        if entry is None:
+            uniform = qft(basis_state(dim, 0)).amps
+            weights = np.abs(uniform) ** 2
+            weights.flags.writeable = False
+            entry = uniform, weights
+        _uniform_cache[dim] = entry
+        while 24 * sum(_uniform_cache) > _UNIFORM_CACHE_BYTES:
             del _uniform_cache[next(iter(_uniform_cache))]
-        return _uniform_cache[dim]
+        return entry
 
 
 # ---------------------------------------------------------------------------
@@ -212,15 +224,17 @@ def _unshifted_symbol(factors) -> np.ndarray:
     return out
 
 
-def _legendre_stage(state: StateVector, p: int) -> StateVector:
-    """Transform, divide out the unshifted symbol, transform back."""
+def _legendre_stage(state: StateVector, p: int) -> np.ndarray:
+    """Transform, divide out the unshifted symbol, transform back; the outcome
+    distribution."""
     state = qft(state)
     state = apply_phase(state, _unshifted_symbol((p,)))
-    return qft(state, inverse=True)
+    return distribution(qft(state, inverse=True))
 
 
-def _sjsp_stage(state: StateVector, moduli: FactoredOddSquarefree) -> StateVector:
-    """Split into prime-power registers and run the prime stage on each."""
+def _sjsp_stage(state: StateVector, moduli: FactoredOddSquarefree) -> np.ndarray:
+    """Split into prime registers and run the prime stage on each; the outcome
+    distribution over the factored layout."""
     factors = moduli.factors
     layout = RegisterLayout(factors)
     xs = np.arange(moduli.n)
@@ -232,11 +246,12 @@ def _sjsp_stage(state: StateVector, moduli: FactoredOddSquarefree) -> StateVecto
     state = apply_phase(state, _unshifted_symbol(factors))
     for axis in range(len(factors)):
         state = qft_factor(state, layout, axis, inverse=True)
-    return state
+    return distribution(state)
 
 
-def _sqcp_stage(state: StateVector, fld: ff.FieldSpec) -> StateVector:
-    """Trace-transform, strip character phases, fold the dummy slot onto |0>."""
+def _sqcp_stage(state: StateVector, fld: ff.FieldSpec) -> np.ndarray:
+    """Trace-transform, strip character phases, fold the dummy slot onto |0>;
+    the outcome distribution."""
     q = fld.q
     state = trace_fourier_transform(state, fld)
     # chi(0) = 0 guarantees an empty |0> slot; the dummy amplitude lands there.
@@ -246,7 +261,7 @@ def _sqcp_stage(state: StateVector, fld: ff.FieldSpec) -> StateVector:
     unit = gauss_sum_closed_form(fld).unit
     state = apply_phase(state, np.r_[unit.conjugate(), ff.character_table(fld)[1:], unit])
     state = permute_basis(state, np.r_[q, 1:q, 0])
-    return trace_fourier_transform(state, fld, inverse=True)
+    return distribution(trace_fourier_transform(state, fld, inverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +347,9 @@ def _las_vegas(oracle, dim, rng, stage, decode, decode_zero, verify):
     """The attempt loop shared by every solver.
 
     An attempt prepares the character state on a dim-slot register.  On the
-    accepted branch stage(state) gives the final state, and its
-    measured outcome goes through decode unless it is a dummy slot beyond the
-    oracle domain.  On the zero branch the measured domain point goes through
+    accepted branch stage(state) gives the final outcome distribution, sampled
+    once, and the outcome goes through decode unless it is a dummy slot beyond
+    the oracle domain.  On the zero branch the measured domain point goes through
     decode_zero, or the attempt is retried when decode_zero is None.  A
     decoder returns None to reject.  The first candidate that verify accepts
     is returned.  rng is drawn for preparation, then measurement; candidate
@@ -347,10 +362,12 @@ def _las_vegas(oracle, dim, rng, stage, decode, decode_zero, verify):
     q0, c0 = oracle.phase_query_count, oracle.query_count
     for attempt in range(1, MAX_ATTEMPTS + 1):
         accepted, state, zero_prob = prepare_character_state(oracle, dim, rng)
-        final = cand = None
+        exact = cand = None
         if accepted:
-            final = stage(state)
-            index = measure(final, rng)
+            probs = stage(state)
+            if dim <= _ANALYSIS_DIM_LIMIT:
+                exact = probs.copy()  # sample leaves the CDF in probs
+            index = sample(probs, rng)
             if index >= oracle.domain_size:  # rounding noise on an emptied dummy slot
                 reason = "dummy slot"
             else:
@@ -362,12 +379,9 @@ def _las_vegas(oracle, dim, rng, stage, decode, decode_zero, verify):
             cand, reason = decode_zero(index), "decode rejected"
         if cand is not None:
             if verify(cand):
-                dist = prob = None
-                if final is not None and dim <= _ANALYSIS_DIM_LIMIT:
-                    # decoders are one-to-one, so a verified candidate's
-                    # outcome is the correct one
-                    dist = distribution(final)
-                    prob = float(dist[index])
+                # decoders are one-to-one, so a verified candidate's outcome
+                # is the correct one
+                prob = None if exact is None else float(exact[index])
                 return SolveReport(
                     recovered_shift=cand,
                     recovered_modulus=None,
@@ -376,7 +390,7 @@ def _las_vegas(oracle, dim, rng, stage, decode, decode_zero, verify):
                     classical_queries=oracle.query_count - c0,
                     zero_branch_probability=zero_prob,
                     exact_success_probability=prob,
-                    exact_distribution=dist,
+                    exact_distribution=exact,
                 )
             reason = "verify failed"
         log.debug("attempt %d on a %d-slot register, %s branch: %s", attempt, dim,
@@ -506,7 +520,7 @@ def solve_sjsp_unknown_n(big_m: int, oracle: ShiftOracle, rng) -> SolveReport:
 
     report = _las_vegas(
         oracle, big_m, rng,
-        stage=qft,
+        stage=fourier_distribution,
         decode=decode,
         decode_zero=None,
         verify=verify,
@@ -555,21 +569,21 @@ def slsp_attempt_analysis(p: int, oracle: ShiftOracle):
     """(zero-branch probability, conditional final outcome distribution)."""
     _check_oracle(oracle, VARIANT_LEGENDRE, p)
     _, state, zero_prob = prepare_character_state(oracle, p)
-    return zero_prob, distribution(_legendre_stage(state, p))
+    return zero_prob, _legendre_stage(state, p)
 
 
 def sjsp_attempt_analysis(moduli: FactoredOddSquarefree, oracle: ShiftOracle):
     """Same, with the distribution over the factored register layout."""
     _check_jacobi(moduli, oracle)
     _, state, zero_prob = prepare_character_state(oracle, moduli.n)
-    return zero_prob, distribution(_sjsp_stage(state, moduli)), RegisterLayout(moduli.factors)
+    return zero_prob, _sjsp_stage(state, moduli), RegisterLayout(moduli.factors)
 
 
 def sqcp_attempt_analysis(fld: ff.FieldSpec, oracle: ShiftOracle):
     """(zero-branch probability, conditional final outcome distribution)."""
     _check_field(fld, oracle)
     _, state, zero_prob = prepare_character_state(oracle, fld.q + 1)
-    return zero_prob, distribution(_sqcp_stage(state, fld))
+    return zero_prob, _sqcp_stage(state, fld)
 
 
 # ---------------------------------------------------------------------------
@@ -607,10 +621,17 @@ def tft_matrix_deviation(fld: ff.FieldSpec) -> tuple[float, float]:
     return matrix_dev, unitary_dev
 
 
+def _check_shift(shift, n: int):
+    if not (_is_integer(shift) and 0 <= shift < n):
+        raise ValueError(f"shift {shift!r} is not in Z_{n}")
+
+
 def verify_jacobi_qft_lemma(moduli: FactoredOddSquarefree, shift: int) -> float:
     """Max amplitude deviation between the transformed character state and
-    its closed form i^((n-1)^2/4) * sum w_n^(-sy) (y/n) |y> / sqrt(phi(n))."""
+    its closed form i^((n-1)^2/4) * sum w_n^(-sy) (y/n) |y> / sqrt(phi(n)).
+    ValueError for a shift outside Z_n."""
     n = moduli.n
+    _check_shift(shift, n)
     phi = euler_phi(moduli)
     vals = _jacobi_row(moduli.factors, shift).astype(np.float64)
     after = qft(StateVector(vals / math.sqrt(phi)))
@@ -629,9 +650,11 @@ def repeated_sampling_comparison(
     The short register's outcomes reduce to y/n in lowest terms; the
     repeated register's outcomes map through the bounded-denominator
     convergent rule.  Both distributions are computed from noiseless
-    statevectors, with n/sqrt(M) reported as the reference scale.
+    statevectors, with n/sqrt(M) reported as the reference scale.  ValueError
+    for a shift outside Z_n.
     """
     n = moduli.n
+    _check_shift(shift, n)
     if big_m > 1 << 16:
         raise DomainTooLarge(f"M = {big_m} exceeds the exact-computation cap 2^16")
     if n * n >= big_m:

@@ -135,9 +135,11 @@ def one(spec: FieldSpec) -> FieldElement:
 
 
 def element_from_index(spec: FieldSpec, index: int) -> FieldElement:
-    """Decode the basis index sum(x_j * p^j); coefficient x_0 varies fastest."""
-    if not 0 <= index < spec.q:
-        raise ValueError(f"index {index} outside field of size {spec.q}")
+    """Decode the basis index sum(x_j * p^j); coefficient x_0 varies fastest.
+    ValueError for an index that is not an integer in [0, q)."""
+    if not (_is_integer(index) and 0 <= index < spec.q):
+        raise ValueError(f"index {index!r} outside field of size {spec.q}")
+    index = int(index)
     coeffs = []
     for _ in range(spec.r):
         index, c = divmod(index, spec.p)
@@ -165,7 +167,9 @@ def _mul(spec, a, b):
 
 
 def ff_arith(spec: FieldSpec, a: FieldElement, b: FieldElement, kind: str) -> FieldElement:
-    """One field operation: kind is "add" or "mul"."""
+    """One field operation: kind is "add" or "mul"; elements as element_to_index takes them."""
+    _check_coefficients(spec.p, a, spec.r)
+    _check_coefficients(spec.p, b, spec.r)
     if kind == "add":
         return tuple((x + y) % spec.p for x, y in zip(a, b))
     if kind == "mul":
@@ -174,6 +178,7 @@ def ff_arith(spec: FieldSpec, a: FieldElement, b: FieldElement, kind: str) -> Fi
 
 
 def ff_neg(spec: FieldSpec, a: FieldElement) -> FieldElement:
+    _check_coefficients(spec.p, a, spec.r)
     return tuple(-x % spec.p for x in a)
 
 

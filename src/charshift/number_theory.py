@@ -206,14 +206,16 @@ def euler_phi(moduli: FactoredOddSquarefree) -> int:
 
 
 def crt_compose(residues, moduli: FactoredOddSquarefree) -> int:
-    """The unique x in Z_n with the given residue per prime factor."""
+    """The unique x in Z_n with the given integer residue per prime factor."""
     if len(residues) != len(moduli.factors):
         raise ValueError("one residue per factor required")
+    if not all(map(_is_integer, residues)):
+        raise ValueError(f"residues {residues!r} are not all integers")
     n = moduli.n
     x = 0
     for res, p in zip(residues, moduli.factors):
         m = n // p
-        x += res * m * pow(m, -1, p)
+        x += int(res) * m * pow(m, -1, p)
     return x % n
 
 

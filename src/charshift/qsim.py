@@ -5,11 +5,14 @@ every register in this package is Z_p-, Z_n-, Z_M-, or F_q-sized.  Each of
 these is a finite abelian group, so one multi-axis DFT (numpy's pocketfft,
 O(N log N) for every N) serves the transform over Z_N, the transform on one
 sub-register of a composite register, and the trace transform over F_q.  The
-forward transform uses the +2*pi*i sign convention.  The phase, permutation
-and projection kernels take one array entry per basis index.  All operations
-return fresh states and never mutate their input.  StateVector and normalized
-copy and norm-check their input, kernels freeze their fresh output, and project
-and measure check norms.  The oracles' three-valued result register is no state
+forward transform uses the +2*pi*i sign convention.  For a real state,
+fourier_distribution gives the transform's outcome probabilities from a
+half-length real FFT instead.  The phase, permutation and projection kernels
+take one array entry per basis index.  All operations return fresh states and
+never mutate their input; sample, the one sampler of a probability array,
+overwrites the array it is given.  StateVector and normalized copy and
+norm-check their input, kernels freeze their fresh output, and project and
+sample check norms.  The oracles' three-valued result register is no state
 here: it stays a digit column beside the amplitudes (see oracles).
 """
 
@@ -22,6 +25,12 @@ from . import finite_field as ff
 from .errors import DimensionMismatch, NonUnitPhase, NotBijective
 
 NORM_TOL = 1e-9
+
+# Largest norm of the imaginary parts fourier_distribution drops.  A prepared
+# character state has none at M = 2^k and elsewhere only the uniform state's
+# rounding residue, below 2e-15 * max|re| per slot at M = 1132, 4093, 10007
+# and 65537, so a norm below 1e-15.
+REAL_TOL = 1e-12
 
 _DEAD_AMP = 1e-12  # amplitudes below this are treated as unoccupied
 
@@ -154,14 +163,48 @@ def project(state: StateVector, mask):
     return prob, _trusted(np.where(mask, state.amps, 0) / math.sqrt(prob))
 
 
+def fourier_distribution(state: StateVector) -> np.ndarray:
+    """distribution(qft(state)) for a real state, without building the transform.
+
+    For real amplitudes |A_(N-k)| = |A_k|, so the half-length real FFT of the
+    real parts gives |A_k|^2 for k <= N/2 and the mirror gives the rest.  A
+    state whose imaginary parts have norm above REAL_TOL raises ValueError;
+    below it the probabilities differ from the complex transform's by at most
+    about 2 * REAL_TOL.
+    """
+    parts = state.amps.view(np.float64)
+    imag = parts[1::2]
+    if not float(np.einsum("i,i->", imag, imag)) <= REAL_TOL**2:  # NaN fails too
+        raise ValueError(f"imaginary parts above {REAL_TOL} in norm; the state is not real")
+    n = state.dim
+    transform = np.fft.rfft(parts[0::2], norm="ortho")
+    # allocated after the FFT has freed its input copy, whose pages it takes:
+    # allocated first, it leaves a freed top of heap that is trimmed, and
+    # every call faults fresh pages in (480 faults, twice the time, at 2^16)
+    probs = np.empty(n)
+    half = probs[: n // 2 + 1]
+    np.square(np.abs(transform, out=half), out=half)
+    probs[n // 2 + 1 :] = probs[(n - 1) // 2 : 0 : -1]
+    return probs
+
+
+def sample(probs: np.ndarray, rng) -> int:
+    """Draw an index of a 1-D float64 array of probabilities by the inverse CDF of
+    Generator.choice(len(probs), p=probs): the same index from the same
+    rng.random().  Works in place: probs is left holding the normalized CDF.
+    ValueError for an rng that is not a np.random.Generator or a sum off 1.
+    """
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError(f"sampling needs a np.random.Generator, not {rng!r}")
+    probs /= _check_norm(float(probs.sum()))
+    np.cumsum(probs, out=probs)
+    probs /= probs[-1]
+    return int(probs.searchsorted(rng.random(), side="right"))
+
+
 def measure(state: StateVector, rng) -> int:
-    """Sample an index from |amps|^2 by the inverse CDF of Generator.choice(dim,
-    p=...), in place on one array: the same index from the same rng.random()."""
-    cdf = distribution(state)
-    cdf /= _check_norm(float(cdf.sum()))
-    np.cumsum(cdf, out=cdf)
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    """Sample an index from |amps|^2: sample(distribution(state), rng)."""
+    return sample(distribution(state), rng)
 
 
 @dataclass(frozen=True)

@@ -317,6 +317,12 @@ def test_lemma_identity_examples(n, s):
     assert verify_jacobi_qft_lemma(factor_trial(n), s) < 1e-9
 
 
+@pytest.mark.parametrize("shift", [2.5, 2.0, True, -1, 15])
+def test_lemma_identity_refuses_a_shift_outside_z_n(shift):
+    with pytest.raises(ValueError):
+        verify_jacobi_qft_lemma(factor_trial(15), shift)
+
+
 def test_lemma_identity_has_global_unit():
     # dropping the i^((n-1)^2/4) factor must break the identity for n = 3 mod 4
     n, s = 15, 2
@@ -358,6 +364,12 @@ def test_repeated_sampling_minimal_m():
     cmp = repeated_sampling_comparison(factor_trial(3), 0, 10)
     assert sum(cmp.rf_distribution.values()) == pytest.approx(1.0, abs=1e-9)
     assert sum(cmp.cf_distribution.values()) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("shift", [1.5, 2.0, True, -1, 15])
+def test_repeated_sampling_refuses_a_shift_outside_z_n(shift):
+    with pytest.raises(ValueError):
+        repeated_sampling_comparison(factor_trial(15), shift, 256)
 
 
 def test_repeated_sampling_domain_limits():

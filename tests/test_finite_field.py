@@ -133,6 +133,32 @@ def test_arith_gf9_examples(gf9):
         ff_arith(gf9, a, a, "pow")
 
 
+@pytest.mark.parametrize("index", [2.5, True, np.float64(2.0), -1, 9])
+def test_element_from_index_refuses_an_index_outside_the_field(gf9, index):
+    with pytest.raises(ValueError):
+        element_from_index(gf9, index)
+
+
+def test_element_from_index_takes_numpy_integers_as_ints(gf9):
+    decoded = element_from_index(gf9, np.int64(5))
+    assert decoded == element_from_index(gf9, 5) == (2, 1)
+    assert all(type(c) is int for c in decoded)
+
+
+@pytest.mark.parametrize("x", [(5, 0), (1.5, 0), (True, 0), (-1, 0), (1,), (1, 0, 0)])
+def test_ff_neg_refuses_an_element_outside_the_field(gf9, x):
+    with pytest.raises(ValueError):
+        ff_neg(gf9, x)
+
+
+@pytest.mark.parametrize("kind", ["add", "mul"])
+@pytest.mark.parametrize("a,b", [((1,), (1, 2)), ((1, 2), (1, 2, 0)), ((3, 0), (1, 1)),
+                                 ((1, 1), (0.5, 0))])
+def test_ff_arith_refuses_an_element_outside_the_field(gf9, a, b, kind):
+    with pytest.raises(ValueError):
+        ff_arith(gf9, a, b, kind)
+
+
 def test_trace_examples(gf9):
     assert trace(gf9, (0, 0)) == 0
     assert trace(gf9, one(gf9)) == 2  # 1 + 1^3

@@ -30,6 +30,7 @@ CASES = [
     "sqcp --p 3 --r 8 --trials 2 --seed 1",
     "sjsp-unknown --n 1001 --M 1048576 --trials 2 --seed 1",
     "sjsp-unknown --n 21 --M 1132 --trials 3 --seed 1",  # -0 imaginary parts at M = 1132
+    "sjsp-unknown --n 15 --M 65537 --trials 4 --seed 1",  # the uniform residue at a prime M
     "slsp --p 13 --trials 40 --seed 1",
     "sqcp --p 3 --r 2 --trials 4 --seed 1",
     "sjsp --n 15 --trials 8 --seed 5 --format csv",

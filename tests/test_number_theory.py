@@ -210,6 +210,18 @@ def test_crt_examples():
         crt_compose((1,), m)
 
 
+@pytest.mark.parametrize("residues", [(1.5, 2), (1, 2.0), (True, 2), ("1", 2)])
+def test_crt_compose_refuses_residues_that_are_not_integers(residues):
+    with pytest.raises(ValueError):
+        crt_compose(residues, factor_trial(15))
+
+
+def test_crt_compose_takes_numpy_integers_as_ints():
+    m = factor_trial(1155)
+    got = crt_compose(tuple(np.int64(r) for r in (2, 4, 6, 10)), m)
+    assert type(got) is int and got == crt_compose((2, 4, 6, 10), m)
+
+
 @pytest.mark.parametrize("n", [15, 105, 1155, 5005, 9177])
 def test_crt_roundtrip_exhaustive(n):
     m = factor_trial(n)

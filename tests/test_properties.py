@@ -51,12 +51,15 @@ from charshift.qsim import (
     StateVector,
     apply_phase,
     basis_state,
+    distribution,
+    fourier_distribution,
     measure,
     normalized,
     permute_basis,
     project,
     qft,
     qft_factor,
+    sample,
     trace_fourier_transform,
 )
 from helpers import (
@@ -183,7 +186,7 @@ def test_result_register_kernels_freeze_fresh_unit_outputs(n, data, seed):
         assert not digits.flags.writeable
     assert not np.shares_memory(cleared, computed)
     assert not np.shares_memory(oracle.value_query_superposed(dim), computed)
-    uniform = _uniform_state(dim).amps
+    uniform = _uniform_state(dim)[0]
     for rng in (None, np.random.default_rng(seed)):
         _, prepared, _ = prepare_character_state(oracle, dim, rng)
         assert_fresh_frozen_unit(prepared, uniform)
@@ -369,13 +372,16 @@ def test_plain_value_query_per_base_and_shared_uniform_state(n, data, seed):
     assert oracle.phase_query_count == 9
 
     base = bases[0]
-    uniform = _uniform_state(base)
-    assert not uniform.amps.flags.writeable
-    assert uniform.amps.tobytes() == qft(basis_state(base, 0)).amps.tobytes()
+    uniform, weights = _uniform_state(base)
+    assert not uniform.flags.writeable
+    assert uniform.tobytes() == qft(basis_state(base, 0)).amps.tobytes()
+    assert not weights.flags.writeable
+    assert weights.tobytes() == (np.abs(uniform) ** 2).tobytes()
     for rng in (None, np.random.default_rng(seed)):
         _, prepared, _ = prepare_character_state(oracle, base, rng)
-        assert not np.shares_memory(prepared.amps, uniform.amps)
-    assert _uniform_state(base) is uniform
+        assert not np.shares_memory(prepared.amps, uniform)
+    assert _uniform_state(base)[0] is uniform
+    assert _uniform_state(base)[1] is weights
 
 
 @checked
@@ -507,3 +513,37 @@ def test_measure_draws_what_generator_choice_draws(dim, kind, seed):
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
     assert measure(state, ours) == theirs.choice(dim, p=probs / float(probs.sum()))
     assert ours.random() == theirs.random()  # the same draws were taken
+
+
+def hidden_modulus_register(n, data):
+    """A register size M > n^2 for the hidden-modulus solver: a power of two or not."""
+    low = n * n + 1
+    two = 1 << (low - 1).bit_length()
+    return data.draw(st.one_of(st.sampled_from([two, 2 * two]), st.integers(low, 4 * low + 3000)))
+
+
+@checked
+@given(n=odd_squarefree(45), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_fourier_distribution_is_the_transform_distribution(n, data, seed):
+    big_m = hidden_modulus_register(n, data)
+    oracle = jacobi_unknown_oracle(n, big_m, shift=data.draw(st.integers(0, n - 1)))
+    rng = data.draw(st.sampled_from([None, np.random.default_rng(seed)]))
+    _, prepared, _ = prepare_character_state(oracle, big_m, rng)
+    real = normalized(np.random.default_rng(seed).normal(size=big_m))
+    for state in (prepared, real):
+        probs = fourier_distribution(state)
+        assert probs.shape == (big_m,) and probs.dtype == np.float64
+        assert np.max(np.abs(probs - distribution(qft(state)))) <= 1e-12
+        assert abs(probs.sum() - 1) <= 1e-9
+
+
+def test_fourier_distribution_samples_what_measure_samples():
+    states = []
+    for n, big_m, shift in ((21, 1132, 5), (15, 1024, 7), (33, 4093, 2)):
+        oracle = jacobi_unknown_oracle(n, big_m, shift=shift)
+        states.append(prepare_character_state(oracle, big_m)[1])
+    for seed in range(1000):
+        for state in states:
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert sample(fourier_distribution(state), ours) == measure(qft(state), theirs)
+            assert ours.random() == theirs.random()

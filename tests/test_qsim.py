@@ -11,12 +11,14 @@ from charshift.qsim import (
     apply_phase,
     basis_state,
     distribution,
+    fourier_distribution,
     measure,
     normalized,
     permute_basis,
     project,
     qft,
     qft_factor,
+    sample,
     trace_fourier_transform,
     _trusted,
 )
@@ -189,6 +191,30 @@ def test_measure_never_hits_empty_slots():
     state = normalized([1, 0, 1, 0])
     for _ in range(200):
         assert measure(state, rng) in (0, 2)
+
+
+@pytest.mark.parametrize("rng", ["x", None, 7, np.random.RandomState(0)])
+def test_measure_and_sample_refuse_an_rng_that_is_not_a_generator(rng):
+    with pytest.raises(ValueError):
+        measure(basis_state(4, 1), rng)
+    with pytest.raises(ValueError):
+        sample(distribution(basis_state(4, 1)), rng)
+
+
+def test_sample_leaves_the_cdf_in_place():
+    probs = np.array([0.25, 0.0, 0.75])
+    assert sample(probs, np.random.default_rng(0)) in (0, 2)
+    assert probs.tolist() == [0.25, 0.25, 1.0]
+
+
+def test_fourier_distribution_refuses_a_state_with_an_imaginary_part():
+    state = normalized(np.ones(8) + 1e-6j * np.arange(8))
+    with pytest.raises(ValueError):
+        fourier_distribution(state)
+    with pytest.raises(ValueError):
+        fourier_distribution(qft(basis_state(8, 1)))  # a complex phase ramp
+    real = normalized(np.arange(1, 9))
+    assert np.allclose(fourier_distribution(real), distribution(qft(real)), atol=1e-15)
 
 
 def test_measure_frequencies_uniform():
